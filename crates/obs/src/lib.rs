@@ -13,7 +13,8 @@
 //!   mergeable snapshots and quantile estimates (p50/p90/p99/max);
 //! * [`metrics`] — a typed [`MetricsRegistry`] of named counters, gauges
 //!   and histograms with a deterministic Prometheus-style text exposition;
-//! * [`trace`] — bounded in-memory trace-span recording ([`TraceSink`])
+//! * [`trace`] — bounded in-memory trace-span recording ([`TraceSink`],
+//!   spans opened as scoped [`SpanGuard`]s)
 //!   with **deterministic span ids** (FNV-1a over trace id + span name +
 //!   index, never the RNG) and the `X-Stochsynth-Trace` header codec
 //!   ([`TraceContext`]) that carries a span tree coordinator → worker.
@@ -32,4 +33,4 @@ pub mod trace;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use log::{logger, Level, Logger, Value};
 pub use metrics::{Counter, Gauge, MetricsRegistry};
-pub use trace::{span_id, Span, TraceContext, TraceSink};
+pub use trace::{span_id, Span, SpanGuard, TraceContext, TraceSink};

@@ -4,7 +4,8 @@
 //! waiting in the scheduler queue, dispatching a shard, merging partials.
 //! Spans form a tree through `parent` references and are recorded into a
 //! [`TraceSink`] — a bounded ring buffer the service queries per trace id
-//! (`GET /trace/:job_id`).
+//! (`GET /trace/:job_id`). Code under trace opens a [`SpanGuard`] with
+//! [`TraceSink::span`], attaches attributes, and records it on `finish`.
 //!
 //! **Span ids are deterministic**: [`span_id`] hashes the trace id, span
 //! name and an index with FNV-1a. Nothing here touches the simulation RNG
@@ -95,6 +96,29 @@ impl TraceSink {
         ring.push_back(span);
     }
 
+    /// Opens span `name` number `index` of `trace_id` under `parent`,
+    /// starting now. Its id is [`span_id`]`(trace_id, name, index)`.
+    pub fn span(
+        &self,
+        trace_id: &str,
+        name: &str,
+        index: u64,
+        parent: Option<u64>,
+    ) -> SpanGuard<'_> {
+        SpanGuard {
+            sink: self,
+            span: Span {
+                trace_id: trace_id.to_string(),
+                id: span_id(trace_id, name, index),
+                parent,
+                name: name.to_string(),
+                start_us: self.now_us(),
+                end_us: 0,
+                attrs: Vec::new(),
+            },
+        }
+    }
+
     /// Every retained span of `trace_id`, ordered by start time (id breaks
     /// ties), parents before their children on equal timestamps.
     pub fn spans(&self, trace_id: &str) -> Vec<Span> {
@@ -121,6 +145,56 @@ impl TraceSink {
     /// Whether nothing has been recorded (or everything was evicted).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// An open span, created by [`TraceSink::span`]. Nothing is recorded
+/// until [`finish`](SpanGuard::finish), so a guard dropped on an error
+/// path leaves no span behind.
+#[must_use = "a span is recorded only by `finish`"]
+pub struct SpanGuard<'a> {
+    sink: &'a TraceSink,
+    span: Span,
+}
+
+impl SpanGuard<'_> {
+    /// This span's id, known before it finishes so children (and remote
+    /// hops) can name it as their parent.
+    pub fn id(&self) -> u64 {
+        self.span.id
+    }
+
+    /// The header context a remote hop nesting under this span carries.
+    pub fn context(&self) -> TraceContext {
+        TraceContext {
+            trace_id: self.span.trace_id.clone(),
+            parent: self.span.id,
+        }
+    }
+
+    /// Moves the start back to `start_us` (sink clock), for work timed
+    /// before the span could be opened.
+    pub fn started_at(mut self, start_us: u64) -> Self {
+        self.span.start_us = start_us;
+        self
+    }
+
+    /// Appends one attribute.
+    pub fn attr(mut self, key: &str, value: impl ToString) -> Self {
+        self.span.attrs.push((key.to_string(), value.to_string()));
+        self
+    }
+
+    /// Ends the span now and records it.
+    pub fn finish(self) {
+        let end_us = self.sink.now_us();
+        self.finish_at(end_us);
+    }
+
+    /// Ends the span at `end_us` (sink clock) and records it.
+    pub fn finish_at(mut self, end_us: u64) {
+        self.span.end_us = end_us;
+        self.sink.record(self.span);
     }
 }
 
@@ -206,6 +280,44 @@ mod tests {
         assert_eq!(sink.len(), 3);
         let names: Vec<String> = sink.spans("1").into_iter().map(|s| s.name).collect();
         assert_eq!(names, ["s2", "s3", "s4"]);
+    }
+
+    #[test]
+    fn guards_record_on_finish_with_deterministic_ids() {
+        let sink = TraceSink::new(16);
+        let root = sink.span("7", "job", 0, None);
+        let child = sink
+            .span("7", "shard", 3, Some(root.id()))
+            .started_at(0)
+            .attr("steps", 42)
+            .attr("range", "[0, 5)");
+        assert_eq!(child.id(), span_id("7", "shard", 3));
+        assert_eq!(
+            child.context(),
+            TraceContext {
+                trace_id: "7".to_string(),
+                parent: span_id("7", "shard", 3),
+            }
+        );
+        assert!(sink.is_empty(), "nothing is recorded before finish");
+        child.finish_at(9);
+        root.finish();
+        drop(sink.span("7", "dropped", 0, None));
+        let spans = sink.spans("7");
+        assert_eq!(spans.len(), 2);
+        let shard = spans.iter().find(|s| s.name == "shard").unwrap();
+        assert_eq!(shard.parent, Some(span_id("7", "job", 0)));
+        assert_eq!((shard.start_us, shard.end_us), (0, 9));
+        assert_eq!(
+            shard.attrs,
+            [
+                ("steps".to_string(), "42".to_string()),
+                ("range".to_string(), "[0, 5)".to_string())
+            ]
+        );
+        let job = spans.iter().find(|s| s.name == "job").unwrap();
+        assert_eq!((job.id, job.parent), (span_id("7", "job", 0), None));
+        assert!(job.end_us >= job.start_us);
     }
 
     #[test]

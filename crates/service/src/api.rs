@@ -11,8 +11,8 @@
 use cme::{Checker, FirstPassage, PopulationBounds, StateSpace};
 use crn::{Crn, State};
 use gillespie::{
-    ClassifierReport, EnsembleOptions, EnsemblePartial, EnsemblePartialParts, EnsembleReport,
-    SimulationOptions, SpeciesThresholdClassifier, StepperKind, StopCondition,
+    ClassifierReport, Ensemble, EnsembleOptions, EnsemblePartial, EnsemblePartialParts,
+    EnsembleReport, SimulationOptions, SpeciesThresholdClassifier, StepperKind, StopCondition,
 };
 use numerics::LogLinearFit;
 use synthesis::{LogLinearSynthesizer, SynthesizedResponse};
@@ -237,6 +237,19 @@ impl SimulateRequest {
                     .stop(self.stop.clone())
                     .max_events(self.max_events),
             )
+    }
+
+    /// The ensemble this request runs: its network, initial state,
+    /// classifier and [`ensemble_options`](Self::ensemble_options).
+    ///
+    /// # Errors
+    ///
+    /// As [`classifier`](Self::classifier).
+    pub fn ensemble(&self) -> Result<Ensemble<'_, SpeciesThresholdClassifier>, ServiceError> {
+        Ok(
+            Ensemble::new(&self.crn, self.initial.clone(), self.classifier()?)
+                .options(self.ensemble_options()),
+        )
     }
 
     /// Renders the result body for a finished ensemble. `method` echoes the
@@ -1787,11 +1800,7 @@ mod tests {
             ",\"initial\":{\"x\":1},\"method\":\"auto\",\"seed\":3",
         );
         let request = SimulateRequest::parse(&body).unwrap();
-        let classifier = request.classifier().unwrap();
-        let report = gillespie::Ensemble::new(&request.crn, request.initial.clone(), classifier)
-            .options(request.ensemble_options())
-            .run()
-            .unwrap();
+        let report = request.ensemble().unwrap().run().unwrap();
         assert_eq!(report.method, StepperKind::Direct);
         let rendered = parse(&request.render_report(&report)).unwrap();
         let field = |k: &str| rendered.get(k).unwrap().as_str(k).unwrap().to_string();
@@ -1815,14 +1824,7 @@ mod tests {
             ",\"initial\":{\"x\":1},\"method\":\"next-reaction\",\"seed\":3",
         );
         let explicit = SimulateRequest::parse(&explicit).unwrap();
-        let report = gillespie::Ensemble::new(
-            &explicit.crn,
-            explicit.initial.clone(),
-            explicit.classifier().unwrap(),
-        )
-        .options(explicit.ensemble_options())
-        .run()
-        .unwrap();
+        let report = explicit.ensemble().unwrap().run().unwrap();
         let rendered = parse(&explicit.render_report(&report)).unwrap();
         assert_eq!(
             rendered.get("method").unwrap().as_str("method").unwrap(),

@@ -34,9 +34,10 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use gillespie::{Ensemble, EnsemblePartial, SimProfile};
+use gillespie::engine::CancelToken;
+use gillespie::{EnsemblePartial, SimProfile, StepperKind};
 use obs::log::{event, Level, Value};
-use obs::trace::{span_id, Span, TraceContext, TraceSink};
+use obs::trace::{span_id, SpanGuard, TraceContext, TraceSink};
 
 use crate::api::{CheckRequest, ExactRequest, SimulateRequest, SynthesizeRequest};
 use crate::cache::ResultCache;
@@ -44,7 +45,7 @@ use crate::error::ServiceError;
 use crate::fabric::{Fabric, FabricConfig, ShardTrace, TRACE_HEADER};
 use crate::http::{Method, Response};
 use crate::json::{self, Json};
-use crate::metrics::Metrics;
+use crate::metrics::{EndpointMetrics, Metrics};
 use crate::router::{RouteContext, Router};
 use crate::scheduler::{
     ChunkOutput, JobId, JobSnapshot, JobState, JobWork, Scheduler, SchedulerTelemetry, SubmitError,
@@ -136,15 +137,15 @@ impl App {
                 let trace_id = id.to_string();
                 let end_us = dequeue_sink.now_us();
                 let wait_us = u64::try_from(wait.as_micros()).unwrap_or(u64::MAX);
-                dequeue_sink.record(Span {
-                    id: span_id(&trace_id, "schedule-wait", 0),
-                    parent: Some(span_id(&trace_id, "job", 0)),
-                    trace_id,
-                    name: "schedule-wait".to_string(),
-                    start_us: end_us.saturating_sub(wait_us),
-                    end_us,
-                    attrs: Vec::new(),
-                });
+                dequeue_sink
+                    .span(
+                        &trace_id,
+                        "schedule-wait",
+                        0,
+                        Some(span_id(&trace_id, "job", 0)),
+                    )
+                    .started_at(end_us.saturating_sub(wait_us))
+                    .finish_at(end_us);
             }),
         };
         let fabric = config
@@ -207,13 +208,31 @@ impl App {
         router.route(
             Method::Post,
             "/exact",
-            instrumented(self, "exact", move |ctx| submit_exact(&app, ctx)),
+            instrumented(self, "exact", move |ctx| {
+                match parse_body(ctx).and_then(|body| ExactRequest::parse(&body)) {
+                    Ok(r) => {
+                        let (key, priority, wait) = (r.cache_key(), r.priority, r.wait);
+                        submit_analysis(&app, "exact", key, priority, wait, move |_| r.execute())
+                    }
+                    Err(error) => error_response(&error),
+                }
+            }),
         );
         let app = Arc::clone(self);
         router.route(
             Method::Post,
             "/synthesize",
-            instrumented(self, "synthesize", move |ctx| submit_synthesize(&app, ctx)),
+            instrumented(self, "synthesize", move |ctx| {
+                match parse_body(ctx).and_then(|body| SynthesizeRequest::parse(&body)) {
+                    Ok(r) => {
+                        let (key, priority, wait) = (r.cache_key(), r.priority, r.wait);
+                        submit_analysis(&app, "synthesize", key, priority, wait, move |_| {
+                            r.execute()
+                        })
+                    }
+                    Err(error) => error_response(&error),
+                }
+            }),
         );
         let app = Arc::clone(self);
         router.route(
@@ -310,17 +329,20 @@ impl App {
         // Per-endpoint breakdown for the four submission endpoints: request
         // count, status classes and service-time quantiles. Additive — the
         // legacy sections keep their exact shape.
-        let endpoints: Vec<(&str, Json)> = ["simulate", "exact", "synthesize", "check"]
+        let series: Vec<(&str, EndpointMetrics)> = ["simulate", "exact", "synthesize", "check"]
+            .into_iter()
+            .map(|name| (name, self.metrics.endpoint(name)))
+            .collect();
+        let endpoints: Vec<(&str, Json)> = series
             .iter()
-            .map(|name| {
-                let series = self.metrics.endpoint(name);
-                let latency = series.latency_us.snapshot();
+            .map(|(name, endpoint)| {
+                let latency = endpoint.latency_us.snapshot();
                 (
                     *name,
                     Json::object([
-                        ("requests", Json::count(series.requests.get())),
-                        ("responses_4xx", Json::count(series.responses_4xx.get())),
-                        ("responses_5xx", Json::count(series.responses_5xx.get())),
+                        ("requests", Json::count(endpoint.requests.get())),
+                        ("responses_4xx", Json::count(endpoint.responses_4xx.get())),
+                        ("responses_5xx", Json::count(endpoint.responses_5xx.get())),
                         (
                             "latency_us",
                             Json::object([
@@ -335,68 +357,31 @@ impl App {
                 )
             })
             .collect();
+        let totals = [
+            ("requests", &self.metrics.requests),
+            ("responses_4xx", &self.metrics.responses_4xx),
+            ("responses_5xx", &self.metrics.responses_5xx),
+        ];
+        let http = totals
+            .iter()
+            .map(|(key, counter)| (key.to_string(), counter.get()))
+            .chain(
+                series
+                    .iter()
+                    .map(|(name, endpoint)| (format!("{name}_requests"), endpoint.requests.get())),
+            )
+            .map(|(key, count)| (key, Json::count(count)))
+            .collect();
+        let auto_resolutions = StepperKind::ALL
+            .iter()
+            .zip(&self.metrics.auto_resolutions)
+            .map(|(kind, counter)| (kind.name().replace('-', "_"), Json::count(counter.get())))
+            .collect();
         let mut members = Json::object([
             ("uptime_ms", Json::count(self.metrics.uptime_ms())),
-            (
-                "http",
-                Json::object([
-                    ("requests", Json::count(self.metrics.requests.get())),
-                    (
-                        "responses_4xx",
-                        Json::count(self.metrics.responses_4xx.get()),
-                    ),
-                    (
-                        "responses_5xx",
-                        Json::count(self.metrics.responses_5xx.get()),
-                    ),
-                    (
-                        "simulate_requests",
-                        Json::count(self.metrics.simulate_requests.get()),
-                    ),
-                    (
-                        "exact_requests",
-                        Json::count(self.metrics.exact_requests.get()),
-                    ),
-                    (
-                        "synthesize_requests",
-                        Json::count(self.metrics.synthesize_requests.get()),
-                    ),
-                    (
-                        "check_requests",
-                        Json::count(self.metrics.check_requests.get()),
-                    ),
-                ]),
-            ),
+            ("http", Json::Object(http)),
             ("endpoints", Json::object(endpoints)),
-            (
-                "auto_resolutions",
-                Json::object([
-                    (
-                        "direct",
-                        Json::count(self.metrics.auto_resolved_direct.get()),
-                    ),
-                    (
-                        "first_reaction",
-                        Json::count(self.metrics.auto_resolved_first_reaction.get()),
-                    ),
-                    (
-                        "next_reaction",
-                        Json::count(self.metrics.auto_resolved_next_reaction.get()),
-                    ),
-                    (
-                        "composition_rejection",
-                        Json::count(self.metrics.auto_resolved_composition_rejection.get()),
-                    ),
-                    (
-                        "tau_leaping",
-                        Json::count(self.metrics.auto_resolved_tau_leaping.get()),
-                    ),
-                    (
-                        "hybrid",
-                        Json::count(self.metrics.auto_resolved_hybrid.get()),
-                    ),
-                ]),
-            ),
+            ("auto_resolutions", Json::Object(auto_resolutions)),
             (
                 "cache",
                 Json::object([
@@ -656,10 +641,10 @@ fn snapshot_response(snapshot: &JobSnapshot) -> Response {
 /// wait for it (`wait: true`) or hand back a `202`.
 ///
 /// `build` receives the job id so chunk closures can carry the trace id
-/// (the id, as text); the built work's `finish` is wrapped to record the
-/// trace's root `job` span when the job settles. Cache hits schedule
-/// nothing and record no spans: the replayed bytes never went near the
-/// scheduler.
+/// (the id, as text); the built work's `finish` is wrapped to cache the
+/// body under `key` and record the trace's root `job` span when the job
+/// settles. Cache hits schedule nothing and record no spans: the replayed
+/// bytes never went near the scheduler.
 fn submit_cached_job(
     app: &Arc<App>,
     label: &'static str,
@@ -679,29 +664,23 @@ fn submit_cached_job(
             .header("x-job-state", "completed");
     }
     let submitted_us = app.trace.now_us();
-    let root_app = Arc::clone(app);
+    let finish_app = Arc::clone(app);
     let id = match app.scheduler.submit_with(priority, label, |id| {
         let mut work = build(id);
-        let sink = Arc::clone(&root_app.trace);
         let trace_id = id.to_string();
         let inner = work.finish;
         work.finish = Box::new(move |outputs| {
             let result = inner(outputs);
-            sink.record(Span {
-                id: span_id(&trace_id, "job", 0),
-                parent: None,
-                trace_id: trace_id.clone(),
-                name: "job".to_string(),
-                start_us: submitted_us,
-                end_us: sink.now_us(),
-                attrs: vec![
-                    ("label".to_string(), label.to_string()),
-                    (
-                        "outcome".to_string(),
-                        if result.is_ok() { "ok" } else { "error" }.to_string(),
-                    ),
-                ],
-            });
+            if let Ok(body) = &result {
+                finish_app.cache.insert(&key, body);
+            }
+            finish_app
+                .trace
+                .span(&trace_id, "job", 0, None)
+                .started_at(submitted_us)
+                .attr("label", label)
+                .attr("outcome", if result.is_ok() { "ok" } else { "error" })
+                .finish();
             result
         });
         work
@@ -725,6 +704,56 @@ fn submit_cached_job(
     Response::json(202, status_body(&snapshot))
         .header("cache", "miss")
         .header("x-job-state", snapshot.state.as_str())
+}
+
+/// Submits a single-chunk job whose work is one opaque computation
+/// producing the whole body: `/exact`, `/synthesize`, single-point
+/// `/check` and simulate shards.
+fn submit_analysis<E: ToString>(
+    app: &Arc<App>,
+    label: &'static str,
+    key: String,
+    priority: u8,
+    wait: bool,
+    execute: impl Fn(&CancelToken) -> Result<String, E> + Send + Sync + 'static,
+) -> Response {
+    let work = JobWork {
+        chunks: 1,
+        run_chunk: Box::new(move |_, cancel| {
+            execute(cancel)
+                .map(ChunkOutput::Body)
+                .map_err(|e| e.to_string())
+        }),
+        finish: Box::new(|mut outputs| Ok(outputs.remove(0).into_body())),
+    };
+    submit_cached_job(app, label, key, priority, wait, move |_| work)
+}
+
+/// Runs trials `[start, end)` of `request`, adds the engine's work counters
+/// to the per-stepper metrics, and finishes `span` (when traced) with the
+/// range and those counters.
+fn run_trials(
+    app: &App,
+    request: &SimulateRequest,
+    (start, end): (u64, u64),
+    cancel: &CancelToken,
+    span: Option<SpanGuard<'_>>,
+) -> Result<EnsemblePartial, String> {
+    let mut profile = SimProfile::default();
+    let partial = request
+        .ensemble()
+        .map_err(|e| e.to_string())?
+        .run_range_profiled(start, end, cancel, &mut profile)
+        .map_err(|e| e.to_string())?;
+    app.metrics
+        .record_profile(request.resolved.name(), &profile);
+    if let Some(span) = span {
+        span.attr("range", format!("[{start}, {end})"))
+            .attr("steps", profile.steps)
+            .attr("propensity_evals", profile.propensity_evals)
+            .finish();
+    }
+    Ok(partial)
 }
 
 /// Parses the request body as JSON, mapping failures to a 400.
@@ -785,10 +814,11 @@ fn submit_simulate(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
     // Count what the portfolio decided (even when the cache answers the
     // request): the per-kind histogram in `/metrics` is how operators see
     // which regimes their workloads land in.
-    if request.method == gillespie::StepperKind::Auto {
+    if request.method == StepperKind::Auto {
         app.metrics.auto_resolution_counter(request.resolved).inc();
     }
     let key = request.cache_key();
+    let (priority, wait) = (request.priority, request.wait);
 
     // A shard request (`"range": [start, end)`) runs its trial range as
     // one chunk and answers with a partial wire document — the worker side
@@ -797,61 +827,21 @@ fn submit_simulate(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
     // byte-for-byte. When the coordinator stamped a trace header, the
     // execution is recorded as a `shard-exec` span under the
     // *coordinator's* trace id (in this worker's own sink).
-    if let Some((start, end)) = request.range {
+    if let Some(range) = request.range {
         let context = ctx
             .request
             .header(TRACE_HEADER)
             .and_then(TraceContext::parse);
-        let run_request = Arc::clone(&request);
         let run_app = Arc::clone(app);
-        let run_chunk = move |_: usize, cancel: &gillespie::engine::CancelToken| {
-            let started_us = run_app.trace.now_us();
-            let classifier = run_request.classifier().map_err(|e| e.to_string())?;
-            let ensemble = Ensemble::new(&run_request.crn, run_request.initial.clone(), classifier)
-                .options(run_request.ensemble_options());
-            let mut profile = SimProfile::default();
-            let partial = ensemble
-                .run_range_profiled(start, end, cancel, &mut profile)
-                .map_err(|e| e.to_string())?;
-            run_app
-                .metrics
-                .record_profile(run_request.resolved.name(), &profile);
-            if let Some(context) = &context {
-                run_app.trace.record(Span {
-                    trace_id: context.trace_id.clone(),
-                    id: span_id(&context.trace_id, "shard-exec", start),
-                    parent: Some(context.parent),
-                    name: "shard-exec".to_string(),
-                    start_us: started_us,
-                    end_us: run_app.trace.now_us(),
-                    attrs: vec![
-                        ("range".to_string(), format!("[{start}, {end})")),
-                        ("steps".to_string(), profile.steps.to_string()),
-                        (
-                            "propensity_evals".to_string(),
-                            profile.propensity_evals.to_string(),
-                        ),
-                    ],
-                });
-            }
-            Ok(ChunkOutput::Body(SimulateRequest::render_partial(&partial)))
-        };
-        let finish_key = key.clone();
-        let finish_app = Arc::clone(app);
-        let finish = move |mut outputs: Vec<ChunkOutput>| {
-            let ChunkOutput::Body(body) = outputs.remove(0) else {
-                unreachable!("shard chunks produce bodies")
-            };
-            finish_app.cache.insert(&finish_key, &body);
-            Ok(body)
-        };
-        let (priority, wait) = (request.priority, request.wait);
-        return submit_cached_job(app, "simulate-shard", key, priority, wait, move |_| {
-            JobWork {
-                chunks: 1,
-                run_chunk: Box::new(run_chunk),
-                finish: Box::new(finish),
-            }
+        return submit_analysis(app, "simulate-shard", key, priority, wait, move |cancel| {
+            let span = context.as_ref().map(|context| {
+                let parent = Some(context.parent);
+                run_app
+                    .trace
+                    .span(&context.trace_id, "shard-exec", range.0, parent)
+            });
+            run_trials(&run_app, &request, range, cancel, span)
+                .map(|partial| SimulateRequest::render_partial(&partial))
         });
     }
 
@@ -864,217 +854,86 @@ fn submit_simulate(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
         .as_ref()
         .filter(|f| !f.registry().is_empty())
         .cloned();
-    let (priority, wait) = (request.priority, request.wait);
     // Read the worker count up front: the build callback below runs under
     // the scheduler lock, where calling back into `scheduler.stats()`
     // would deadlock.
     let scheduler_workers = app.scheduler.stats().workers as u64;
     let build_app = Arc::clone(app);
-    let finish_key = key.clone();
     submit_cached_job(app, "simulate", key, priority, wait, move |id| {
         let app = build_app;
-        let sink = Arc::clone(app.trace());
-        let trace_id = id.to_string();
-        let root = span_id(&trace_id, "job", 0);
-        sink.record(Span {
-            trace_id: trace_id.clone(),
-            id: span_id(&trace_id, "parse", 0),
-            parent: Some(root),
-            name: "parse".to_string(),
-            start_us: parse_started_us,
-            end_us: parse_done_us,
-            attrs: Vec::new(),
-        });
-        sink.record(Span {
-            trace_id: trace_id.clone(),
-            id: span_id(&trace_id, "classify", 0),
-            parent: Some(root),
-            name: "classify".to_string(),
-            start_us: parse_done_us,
-            end_us: classify_done_us,
-            attrs: vec![
-                ("method".to_string(), request.method.name().to_string()),
-                ("resolved".to_string(), request.resolved.name().to_string()),
-            ],
-        });
-
-        type ChunkRunner = Box<
-            dyn Fn(usize, &gillespie::engine::CancelToken) -> Result<ChunkOutput, String>
-                + Send
-                + Sync,
-        >;
-        let (chunks, run_chunk): (usize, ChunkRunner) = match fabric {
-            Some(fabric) => {
-                let plan = fabric.plan(request.trials);
-                let run_request = Arc::clone(&request);
-                let chunks = plan.len();
-                let run_sink = Arc::clone(&sink);
-                let run_trace_id = trace_id.clone();
-                let run_chunk = move |index: usize, cancel: &gillespie::engine::CancelToken| {
-                    let shard_span = span_id(&run_trace_id, "shard", index as u64);
-                    let shard_trace = ShardTrace {
-                        sink: Arc::clone(&run_sink),
-                        trace_id: run_trace_id.clone(),
-                        parent: shard_span,
-                        index: index as u64,
-                    };
-                    let started_us = run_sink.now_us();
-                    let result =
-                        fabric.run_shard(&run_request, plan[index], cancel, Some(&shard_trace));
-                    run_sink.record(Span {
-                        trace_id: run_trace_id.clone(),
-                        id: shard_span,
-                        parent: Some(span_id(&run_trace_id, "job", 0)),
-                        name: "shard".to_string(),
-                        start_us: started_us,
-                        end_us: run_sink.now_us(),
-                        attrs: vec![
-                            (
-                                "range".to_string(),
-                                format!("[{}, {})", plan[index].0, plan[index].1),
-                            ),
-                            (
-                                "outcome".to_string(),
-                                if result.is_ok() { "ok" } else { "error" }.to_string(),
-                            ),
-                        ],
-                    });
-                    Ok(ChunkOutput::Partial(Box::new(result?)))
-                };
-                (chunks, Box::new(run_chunk) as _)
-            }
+        let trials = request.trials;
+        let plan = match &fabric {
+            Some(fabric) => fabric.plan(trials),
             None => {
-                let target_chunks = (scheduler_workers * 4).clamp(1, request.trials);
-                let chunk_size = request.trials.div_ceil(target_chunks);
-                let chunks = request.trials.div_ceil(chunk_size) as usize;
-                let run_request = Arc::clone(&request);
-                let trials = request.trials;
-                let run_app = Arc::clone(&app);
-                let run_sink = Arc::clone(&sink);
-                let run_trace_id = trace_id.clone();
-                let run_chunk = move |index: usize, cancel: &gillespie::engine::CancelToken| {
-                    let start = index as u64 * chunk_size;
-                    let end = (start + chunk_size).min(trials);
-                    let started_us = run_sink.now_us();
-                    let classifier = run_request.classifier().map_err(|e| e.to_string())?;
-                    let ensemble =
-                        Ensemble::new(&run_request.crn, run_request.initial.clone(), classifier)
-                            .options(run_request.ensemble_options());
-                    let mut profile = SimProfile::default();
-                    let partial = ensemble
-                        .run_range_profiled(start, end, cancel, &mut profile)
-                        .map_err(|e| e.to_string())?;
-                    run_app
-                        .metrics
-                        .record_profile(run_request.resolved.name(), &profile);
-                    run_sink.record(Span {
-                        trace_id: run_trace_id.clone(),
-                        id: span_id(&run_trace_id, "shard", index as u64),
-                        parent: Some(span_id(&run_trace_id, "job", 0)),
-                        name: "shard".to_string(),
-                        start_us: started_us,
-                        end_us: run_sink.now_us(),
-                        attrs: vec![
-                            ("range".to_string(), format!("[{start}, {end})")),
-                            ("steps".to_string(), profile.steps.to_string()),
-                            (
-                                "propensity_evals".to_string(),
-                                profile.propensity_evals.to_string(),
-                            ),
-                        ],
-                    });
-                    Ok(ChunkOutput::Partial(Box::new(partial)))
-                };
-                (chunks, Box::new(run_chunk) as _)
+                let chunk_size = trials.div_ceil((scheduler_workers * 4).clamp(1, trials));
+                (0..trials)
+                    .step_by(chunk_size as usize)
+                    .map(|start| (start, (start + chunk_size).min(trials)))
+                    .collect()
             }
         };
+        let trace_id = id.to_string();
+        let root = Some(span_id(&trace_id, "job", 0));
+        app.trace
+            .span(&trace_id, "parse", 0, root)
+            .started_at(parse_started_us)
+            .finish_at(parse_done_us);
+        app.trace
+            .span(&trace_id, "classify", 0, root)
+            .started_at(parse_done_us)
+            .attr("method", request.method.name())
+            .attr("resolved", request.resolved.name())
+            .finish_at(classify_done_us);
 
-        let finish_request = Arc::clone(&request);
-        let finish_app = Arc::clone(&app);
-        let finish_trace_id = trace_id;
+        let chunks = plan.len();
+        let run_app = Arc::clone(&app);
+        let run_request = Arc::clone(&request);
+        let run_trace_id = trace_id.clone();
+        let run_chunk = move |index: usize, cancel: &CancelToken| {
+            let range = plan[index];
+            let span = run_app
+                .trace
+                .span(&run_trace_id, "shard", index as u64, root);
+            let partial = match &fabric {
+                Some(fabric) => {
+                    let shard_trace = ShardTrace {
+                        sink: Arc::clone(&run_app.trace),
+                        trace_id: run_trace_id.clone(),
+                        parent: span.id(),
+                        index: index as u64,
+                    };
+                    let result = fabric.run_shard(&run_request, range, cancel, Some(&shard_trace));
+                    span.attr("range", format!("[{}, {})", range.0, range.1))
+                        .attr("outcome", if result.is_ok() { "ok" } else { "error" })
+                        .finish();
+                    result?
+                }
+                None => run_trials(&run_app, &run_request, range, cancel, Some(span))?,
+            };
+            Ok(ChunkOutput::Partial(Box::new(partial)))
+        };
+
         let finish = move |outputs: Vec<ChunkOutput>| {
-            let merge_started_us = finish_app.trace.now_us();
-            let partials: Vec<EnsemblePartial> = outputs
-                .into_iter()
-                .map(|output| match output {
-                    ChunkOutput::Partial(partial) => *partial,
-                    ChunkOutput::Body(_) => unreachable!("simulate chunks produce partials"),
-                })
-                .collect();
+            let span = app.trace.span(&trace_id, "merge", 0, root);
+            let partials: Vec<EnsemblePartial> =
+                outputs.into_iter().map(ChunkOutput::into_partial).collect();
             let merged = partials.len();
-            let classifier = finish_request.classifier().map_err(|e| e.to_string())?;
-            let ensemble = Ensemble::new(
-                &finish_request.crn,
-                finish_request.initial.clone(),
-                classifier,
-            )
-            .options(finish_request.ensemble_options());
-            let report = ensemble.merge(partials).map_err(|e| e.to_string())?;
-            let body = finish_request.render_report(&report);
-            finish_app.cache.insert(&finish_key, &body);
-            finish_app.trace.record(Span {
-                trace_id: finish_trace_id.clone(),
-                id: span_id(&finish_trace_id, "merge", 0),
-                parent: Some(span_id(&finish_trace_id, "job", 0)),
-                name: "merge".to_string(),
-                start_us: merge_started_us,
-                end_us: finish_app.trace.now_us(),
-                attrs: vec![("partials".to_string(), merged.to_string())],
-            });
+            let report = request
+                .ensemble()
+                .map_err(|e| e.to_string())?
+                .merge(partials)
+                .map_err(|e| e.to_string())?;
+            let body = request.render_report(&report);
+            span.attr("partials", merged).finish();
             Ok(body)
         };
 
         JobWork {
             chunks,
-            run_chunk,
+            run_chunk: Box::new(run_chunk),
             finish: Box::new(finish),
         }
     })
-}
-
-/// Builds the single-chunk job for an analysis endpoint whose work is one
-/// opaque computation (`/exact`, `/synthesize`).
-fn analysis_job(
-    app: &Arc<App>,
-    key: String,
-    execute: impl Fn() -> Result<String, ServiceError> + Send + Sync + 'static,
-) -> JobWork {
-    let finish_app = Arc::clone(app);
-    JobWork {
-        chunks: 1,
-        run_chunk: Box::new(move |_, _| {
-            execute().map(ChunkOutput::Body).map_err(|e| e.to_string())
-        }),
-        finish: Box::new(move |mut outputs| {
-            let ChunkOutput::Body(body) = outputs.remove(0) else {
-                unreachable!("analysis chunks produce bodies")
-            };
-            finish_app.cache.insert(&key, &body);
-            Ok(body)
-        }),
-    }
-}
-
-fn submit_exact(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let request = match parse_body(ctx).and_then(|body| ExactRequest::parse(&body)) {
-        Ok(request) => request,
-        Err(error) => return error_response(&error),
-    };
-    let key = request.cache_key();
-    let (priority, wait) = (request.priority, request.wait);
-    let work = analysis_job(app, key.clone(), move || request.execute());
-    submit_cached_job(app, "exact", key, priority, wait, move |_| work)
-}
-
-fn submit_synthesize(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let request = match parse_body(ctx).and_then(|body| SynthesizeRequest::parse(&body)) {
-        Ok(request) => request,
-        Err(error) => return error_response(&error),
-    };
-    let key = request.cache_key();
-    let (priority, wait) = (request.priority, request.wait);
-    let work = analysis_job(app, key.clone(), move || request.execute());
-    submit_cached_job(app, "synthesize", key, priority, wait, move |_| work)
 }
 
 fn submit_check(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
@@ -1090,8 +949,7 @@ fn submit_check(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
             .into_iter()
             .next()
             .expect("a sweepless request has exactly one point");
-        let work = analysis_job(app, key.clone(), move || point.execute());
-        return submit_cached_job(app, "check", key, priority, wait, move |_| work);
+        return submit_analysis(app, "check", key, priority, wait, move |_| point.execute());
     }
 
     // A sweep runs each grid point as its own chunk — locally on the
@@ -1109,7 +967,7 @@ fn submit_check(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
         .cloned();
     let run_request = Arc::clone(&request);
     let run_app = Arc::clone(app);
-    let run_chunk = move |index: usize, cancel: &gillespie::engine::CancelToken| {
+    let run_chunk = move |index: usize, cancel: &CancelToken| {
         let point = &run_request.points[index];
         let point_key = point.cache_key();
         if let Some(body) = run_app.cache.lookup(&point_key) {
@@ -1122,23 +980,9 @@ fn submit_check(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
         run_app.cache.insert(&point_key, &body);
         Ok(ChunkOutput::Body(body))
     };
-
-    let finish_request = Arc::clone(&request);
-    let finish_app = Arc::clone(app);
-    let finish_key = key.clone();
     let finish = move |outputs: Vec<ChunkOutput>| {
-        let bodies: Vec<String> = outputs
-            .into_iter()
-            .map(|output| match output {
-                ChunkOutput::Body(body) => body,
-                ChunkOutput::Partial(_) => unreachable!("check chunks produce bodies"),
-            })
-            .collect();
-        let body = finish_request
-            .render_sweep(&bodies)
-            .map_err(|e| e.to_string())?;
-        finish_app.cache.insert(&finish_key, &body);
-        Ok(body)
+        let bodies: Vec<String> = outputs.into_iter().map(ChunkOutput::into_body).collect();
+        request.render_sweep(&bodies).map_err(|e| e.to_string())
     };
 
     submit_cached_job(app, "check-sweep", key, priority, wait, move |_| JobWork {

@@ -30,11 +30,10 @@ struct Args {
     port_file: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut config = ServiceConfig::default();
     let mut fabric = FabricConfig::default();
     let mut port_file = None;
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--help" || flag == "-h" {
             return Err(USAGE.to_string());
@@ -67,7 +66,9 @@ fn parse_args() -> Result<Args, String> {
             "--shard-attempts" => {
                 fabric.max_attempts = value
                     .parse()
-                    .map_err(|_| format!("--shard-attempts: invalid count `{value}`"))?
+                    .ok()
+                    .filter(|&attempts| attempts > 0)
+                    .ok_or_else(|| format!("--shard-attempts: must be at least 1, got `{value}`"))?
             }
             "--shard-backoff-ms" => {
                 fabric.backoff = Duration::from_millis(
@@ -116,7 +117,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
             eprintln!("{message}");
@@ -146,4 +147,25 @@ fn main() -> ExitCode {
     handle.join();
     println!("stochsynthd: drained, exiting");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn shard_attempts_must_be_positive() {
+        let Err(error) = parse(&["--fabric-worker", "127.0.0.1:9001", "--shard-attempts", "0"])
+        else {
+            panic!("--shard-attempts 0 was accepted");
+        };
+        assert!(error.contains("--shard-attempts"), "error: {error}");
+        let args = parse(&["--fabric-worker", "127.0.0.1:9001", "--shard-attempts", "3"])
+            .expect("3 attempts");
+        assert_eq!(args.config.fabric.expect("fabric").max_attempts, 3);
+    }
 }

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use gillespie::engine::CancelToken;
 use gillespie::{EnsemblePartial, Moments};
 use obs::log::{event, Level, Value};
-use obs::trace::{span_id, Span, TraceContext, TraceSink};
+use obs::trace::{SpanGuard, TraceContext, TraceSink};
 use obs::MetricsRegistry;
 
 use crate::api::{CheckPoint, SimulateRequest};
@@ -68,6 +68,13 @@ pub struct ShardTrace {
     /// The shard's chunk index, folded into dispatch span ids so attempts
     /// of different shards never collide.
     pub index: u64,
+}
+
+/// The span index of dispatch `attempt` of shard `shard`: the shard in the
+/// high 32 bits and the attempt in the low 32, so no two (shard, attempt)
+/// pairs share a span id.
+fn dispatch_span_index(shard: u64, attempt: u32) -> u64 {
+    (shard << 32) | u64::from(attempt)
 }
 
 /// Configuration of a fabric coordinator.
@@ -277,7 +284,9 @@ impl Fabric {
         parse: impl Fn(&str) -> Result<T, String>,
     ) -> Result<T, String> {
         let mut backoff = self.config.backoff;
-        let mut last_error = "no workers registered".to_string();
+        // Every attempt either returns or overwrites this, so it only
+        // surfaces when no attempt is allowed at all.
+        let mut last_error = "no dispatch was attempted (max_attempts is 0)".to_string();
         for attempt in 0..self.config.max_attempts {
             if cancel.is_cancelled() {
                 return Err("job cancelled".to_string());
@@ -302,17 +311,20 @@ impl Fabric {
                 return Err("no workers registered".to_string());
             };
             self.shards_dispatched.fetch_add(1, Ordering::Relaxed);
-            // The dispatch span id is computed *before* the call so the
-            // worker can be told its parent through the trace header.
+            // The dispatch span is opened *before* the call so the worker
+            // can be told its parent through the trace header.
             let dispatch_span = trace.map(|t| {
-                (
-                    span_id(&t.trace_id, "dispatch", t.index * 1000 + u64::from(attempt)),
-                    t.sink.now_us(),
-                )
+                let index = dispatch_span_index(t.index, attempt);
+                t.sink.span(&t.trace_id, "dispatch", index, Some(t.parent))
             });
             let started = Instant::now();
             let outcome = self
-                .dispatch(&addr, path, body, trace.zip(dispatch_span))
+                .dispatch(
+                    &addr,
+                    path,
+                    body,
+                    dispatch_span.as_ref().map(SpanGuard::context),
+                )
                 .and_then(|(body, hit)| parse(&body).map(|parsed| (parsed, hit)));
             let rtt = started.elapsed();
             let rtt_us = u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX);
@@ -321,23 +333,11 @@ impl Fabric {
                     .histogram(&format!("fabric_shard_rtt_us{{worker=\"{addr}\"}}"))
                     .record(rtt_us);
             }
-            if let (Some(t), Some((id, start_us))) = (trace, dispatch_span) {
-                t.sink.record(Span {
-                    trace_id: t.trace_id.clone(),
-                    id,
-                    parent: Some(t.parent),
-                    name: "dispatch".to_string(),
-                    start_us,
-                    end_us: t.sink.now_us(),
-                    attrs: vec![
-                        ("worker".to_string(), addr.clone()),
-                        ("attempt".to_string(), attempt.to_string()),
-                        (
-                            "outcome".to_string(),
-                            if outcome.is_ok() { "ok" } else { "error" }.to_string(),
-                        ),
-                    ],
-                });
+            if let Some(span) = dispatch_span {
+                span.attr("worker", &addr)
+                    .attr("attempt", attempt)
+                    .attr("outcome", if outcome.is_ok() { "ok" } else { "error" })
+                    .finish();
             }
             event(
                 Level::Trace,
@@ -393,23 +393,17 @@ impl Fabric {
         addr: &str,
         path: &str,
         body: &str,
-        hop: Option<(&ShardTrace, (u64, u64))>,
+        hop: Option<TraceContext>,
     ) -> Result<(String, bool), String> {
         let client = Client::new(addr)?
             .timeout(self.config.request_timeout)
             .connect_timeout(self.config.connect_timeout);
         let reply = match hop {
-            Some((t, (dispatch_span, _))) => {
-                let context = TraceContext {
-                    trace_id: t.trace_id.clone(),
-                    parent: dispatch_span,
-                };
-                client.post_with_headers(
-                    path,
-                    body,
-                    &[(TRACE_HEADER, context.header_value().as_str())],
-                )?
-            }
+            Some(context) => client.post_with_headers(
+                path,
+                body,
+                &[(TRACE_HEADER, context.header_value().as_str())],
+            )?,
             None => client.post(path, body)?,
         };
         if !reply.is_success() {
@@ -533,6 +527,38 @@ mod tests {
             .run_shard(&request, (0, 10), &CancelToken::new(), None)
             .unwrap_err();
         assert!(err.contains("no workers"), "err: {err}");
+    }
+
+    #[test]
+    fn zero_attempts_fail_without_blaming_the_pool() {
+        let fabric = Fabric::new(FabricConfig {
+            workers: vec!["127.0.0.1:1".to_string()],
+            max_attempts: 0,
+            ..FabricConfig::default()
+        });
+        let body =
+            crate::json::parse("{\"network\":\"x -> h @ 1\",\"initial\":{\"x\":1},\"trials\":10}")
+                .unwrap();
+        let request = SimulateRequest::parse(&body).unwrap();
+        let err = fabric
+            .run_shard(&request, (0, 10), &CancelToken::new(), None)
+            .unwrap_err();
+        assert!(!err.contains("no workers"), "err: {err}");
+        assert!(err.contains("max_attempts is 0"), "err: {err}");
+        assert_eq!(fabric.stats().shards_dispatched, 0);
+    }
+
+    #[test]
+    fn dispatch_span_ids_stay_distinct_past_a_thousand_attempts() {
+        // A `shard * 1000 + attempt` index would give shard 0's attempt
+        // 1000 the id of shard 1's attempt 0.
+        let id = |shard, attempt| {
+            obs::trace::span_id("7", "dispatch", dispatch_span_index(shard, attempt))
+        };
+        assert_ne!(id(0, 1000), id(1, 0));
+        assert_ne!(id(0, u32::MAX), id(1, 0));
+        assert_eq!(dispatch_span_index(3, 5) >> 32, 3);
+        assert_eq!(dispatch_span_index(3, 5) as u32, 5);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gillespie::SimProfile;
+use gillespie::{SimProfile, StepperKind};
 use obs::{Counter, Histogram, MetricsRegistry};
 
 /// The per-endpoint telemetry handles the request wrapper bumps: request
@@ -60,26 +60,9 @@ pub struct Metrics {
     pub responses_4xx: Arc<Counter>,
     /// Responses with a 5xx status (all endpoints).
     pub responses_5xx: Arc<Counter>,
-    /// `POST /simulate` requests.
-    pub simulate_requests: Arc<Counter>,
-    /// `POST /exact` requests.
-    pub exact_requests: Arc<Counter>,
-    /// `POST /synthesize` requests.
-    pub synthesize_requests: Arc<Counter>,
-    /// `POST /check` requests.
-    pub check_requests: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to the direct method.
-    pub auto_resolved_direct: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to first-reaction.
-    pub auto_resolved_first_reaction: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to next-reaction.
-    pub auto_resolved_next_reaction: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to composition–rejection.
-    pub auto_resolved_composition_rejection: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to tau-leaping.
-    pub auto_resolved_tau_leaping: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to the hybrid stepper.
-    pub auto_resolved_hybrid: Arc<Counter>,
+    /// `method: auto` simulate requests per resolved kind, indexed by
+    /// position in [`StepperKind::ALL`].
+    pub auto_resolutions: [Arc<Counter>; StepperKind::ALL.len()],
     /// Result-cache lookup latency, microseconds.
     pub cache_lookup_us: Arc<Histogram>,
     /// Scheduler queue wait (submission → first chunk dispatched),
@@ -97,24 +80,17 @@ impl Metrics {
     /// Creates zeroed series with the clock started now.
     pub fn new() -> Metrics {
         let registry = Arc::new(MetricsRegistry::new());
-        let auto = |stepper: &str| {
-            registry.counter(&format!("auto_resolutions_total{{stepper=\"{stepper}\"}}"))
-        };
         Metrics {
             started: Instant::now(),
             requests: registry.counter("http_requests_total"),
             responses_4xx: registry.counter("http_responses_total{class=\"4xx\"}"),
             responses_5xx: registry.counter("http_responses_total{class=\"5xx\"}"),
-            simulate_requests: registry.counter("http_requests_total{endpoint=\"simulate\"}"),
-            exact_requests: registry.counter("http_requests_total{endpoint=\"exact\"}"),
-            synthesize_requests: registry.counter("http_requests_total{endpoint=\"synthesize\"}"),
-            check_requests: registry.counter("http_requests_total{endpoint=\"check\"}"),
-            auto_resolved_direct: auto("direct"),
-            auto_resolved_first_reaction: auto("first-reaction"),
-            auto_resolved_next_reaction: auto("next-reaction"),
-            auto_resolved_composition_rejection: auto("composition-rejection"),
-            auto_resolved_tau_leaping: auto("tau-leaping"),
-            auto_resolved_hybrid: auto("hybrid"),
+            auto_resolutions: StepperKind::ALL.map(|kind| {
+                registry.counter(&format!(
+                    "auto_resolutions_total{{stepper=\"{}\"}}",
+                    kind.name()
+                ))
+            }),
             cache_lookup_us: registry.histogram("cache_lookup_duration_us"),
             queue_wait_us: registry.histogram("scheduler_queue_wait_us"),
             registry,
@@ -153,17 +129,12 @@ impl Metrics {
     ///
     /// Panics if `kind` is `Auto` itself — resolution always produces a
     /// concrete kind.
-    pub fn auto_resolution_counter(&self, kind: gillespie::StepperKind) -> &Arc<Counter> {
-        use gillespie::StepperKind;
-        match kind {
-            StepperKind::Direct => &self.auto_resolved_direct,
-            StepperKind::FirstReaction => &self.auto_resolved_first_reaction,
-            StepperKind::NextReaction => &self.auto_resolved_next_reaction,
-            StepperKind::CompositionRejection => &self.auto_resolved_composition_rejection,
-            StepperKind::TauLeaping => &self.auto_resolved_tau_leaping,
-            StepperKind::Hybrid => &self.auto_resolved_hybrid,
-            StepperKind::Auto => unreachable!("auto always resolves to a concrete kind"),
-        }
+    pub fn auto_resolution_counter(&self, kind: StepperKind) -> &Arc<Counter> {
+        let index = StepperKind::ALL
+            .iter()
+            .position(|&concrete| concrete == kind)
+            .expect("auto always resolves to a concrete kind");
+        &self.auto_resolutions[index]
     }
 
     /// Adds one chunk's engine work counters to the per-stepper sums
@@ -221,8 +192,15 @@ mod tests {
         assert_eq!(simulate.responses_4xx.get(), 1);
         assert_eq!(simulate.responses_5xx.get(), 1);
         assert_eq!(simulate.latency_us.snapshot().count, 3);
-        // The explicit named handle sees the wrapper's counts: same series.
-        assert_eq!(metrics.simulate_requests.get(), 3);
+        // The registry series behind `http.simulate_requests` sees the
+        // wrapper's counts: same handle.
+        assert_eq!(
+            metrics
+                .registry()
+                .counter("http_requests_total{endpoint=\"simulate\"}")
+                .get(),
+            3
+        );
     }
 
     #[test]

@@ -101,6 +101,32 @@ pub enum ChunkOutput {
     Body(String),
 }
 
+impl ChunkOutput {
+    /// The rendered body of a body-producing chunk.
+    ///
+    /// # Panics
+    ///
+    /// On a partial: every chunk of a job is of the kind its job builds.
+    pub fn into_body(self) -> String {
+        match self {
+            ChunkOutput::Body(body) => body,
+            ChunkOutput::Partial(_) => unreachable!("expected a body chunk"),
+        }
+    }
+
+    /// The ensemble partial of a trial-range chunk.
+    ///
+    /// # Panics
+    ///
+    /// On a body: every chunk of a job is of the kind its job builds.
+    pub fn into_partial(self) -> EnsemblePartial {
+        match self {
+            ChunkOutput::Partial(partial) => *partial,
+            ChunkOutput::Body(_) => unreachable!("expected a partial chunk"),
+        }
+    }
+}
+
 /// The work a job performs, split into independent chunks.
 ///
 /// `run_chunk` is called once per chunk index (possibly concurrently, on
@@ -947,14 +973,7 @@ mod tests {
                 Ok(ChunkOutput::Body(format!("{i};")))
             }),
             finish: Box::new(|outputs| {
-                let mut body = String::new();
-                for output in outputs {
-                    match output {
-                        ChunkOutput::Body(s) => body.push_str(&s),
-                        ChunkOutput::Partial(_) => unreachable!(),
-                    }
-                }
-                Ok(body)
+                Ok(outputs.into_iter().map(ChunkOutput::into_body).collect())
             }),
         }
     }

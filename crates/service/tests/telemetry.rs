@@ -83,6 +83,7 @@ struct SpanRow {
     id: String,
     parent: Option<String>,
     name: String,
+    attrs: Vec<(String, String)>,
 }
 
 fn parse_spans(body: &str) -> Vec<SpanRow> {
@@ -105,7 +106,27 @@ fn parse_spans(body: &str) -> Vec<SpanRow> {
                 other => panic!("span parent is {other:?}"),
             };
             let name = field("name").as_str("name").expect("span name").to_string();
-            SpanRow { id, parent, name }
+            let Json::Array(attrs) = field("attrs") else {
+                panic!("span attrs are not an array in {body}");
+            };
+            let attrs = attrs
+                .iter()
+                .map(|attr| {
+                    let text = |key: &str| {
+                        attr.get(key)
+                            .and_then(|v| v.as_str(key).ok())
+                            .unwrap_or_else(|| panic!("attr missing `{key}` in {body}"))
+                            .to_string()
+                    };
+                    (text("key"), text("value"))
+                })
+                .collect();
+            SpanRow {
+                id,
+                parent,
+                name,
+                attrs,
+            }
         })
         .collect()
 }
@@ -312,6 +333,207 @@ fn metrics_expositions_cover_endpoints_uptime_and_cache() {
             "missing `{needle}` in:\n{}",
             text.body
         );
+    }
+
+    // The JSON exposition's key order is part of its shape. An `auto`
+    // request and its cache-hit replay each count one resolution.
+    let auto = coin_request(8, 50, true).replacen('{', "{\"method\":\"auto\",", 1);
+    for _ in 0..2 {
+        let reply = client.post("/simulate", &auto).expect("auto simulate");
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+    }
+    let body = client.get("/metrics").expect("metrics").body;
+    let metrics = service::json::parse(&body).expect("metrics JSON");
+    let members = |path: &str| -> Vec<(String, Json)> {
+        let value = if path.is_empty() {
+            &metrics
+        } else {
+            metrics.get(path).expect("metrics section")
+        };
+        let Json::Object(members) = value else {
+            panic!("`{path}` is not an object in {body}");
+        };
+        members.clone()
+    };
+    let keys = |path: &str| -> Vec<String> { members(path).into_iter().map(|(k, _)| k).collect() };
+    assert_eq!(
+        keys(""),
+        [
+            "uptime_ms",
+            "http",
+            "endpoints",
+            "auto_resolutions",
+            "cache",
+            "scheduler"
+        ]
+    );
+    assert_eq!(
+        keys("http"),
+        [
+            "requests",
+            "responses_4xx",
+            "responses_5xx",
+            "simulate_requests",
+            "exact_requests",
+            "synthesize_requests",
+            "check_requests"
+        ]
+    );
+    assert_eq!(
+        keys("auto_resolutions"),
+        [
+            "direct",
+            "first_reaction",
+            "next_reaction",
+            "composition_rejection",
+            "tau_leaping",
+            "hybrid"
+        ]
+    );
+    let resolved: f64 = members("auto_resolutions")
+        .iter()
+        .map(|(kind, count)| count.as_f64(kind).expect("count"))
+        .sum();
+    assert_eq!(resolved, 2.0, "body: {body}");
+    assert_eq!(json_number(&body, &["http", "simulate_requests"]), 5.0);
+    assert_eq!(
+        json_number(&body, &["endpoints", "simulate", "requests"]),
+        5.0
+    );
+
+    shutdown_all([handle]);
+}
+
+/// Submits `body` to `path` without waiting, waits for the job, and
+/// returns its id (which is also its trace id).
+fn run_job(client: &Client, path: &str, body: &str) -> u64 {
+    let submitted = client.post(path, body).expect("async submit");
+    assert_eq!(submitted.status, 202, "body: {}", submitted.body);
+    let job = json_number(&submitted.body, &["job"]) as u64;
+    let done = client
+        .get(&format!("/jobs/{job}?wait=1"))
+        .expect("wait for job");
+    assert_eq!(done.status, 200, "body: {}", done.body);
+    job
+}
+
+/// Asserts that the trace of `job` holds exactly the `expected` spans:
+/// `(name, index, parent name, attr keys)`. Each span's id must be
+/// `span_id(job, name, index)` and its parent the `index 0` span of the
+/// named parent. Returns the spans for further checks.
+fn assert_span_tree(
+    client: &Client,
+    job: u64,
+    expected: &[(&str, u64, Option<&str>, &[&str])],
+) -> Vec<SpanRow> {
+    let trace_id = job.to_string();
+    let hex =
+        |name: &str, index: u64| format!("{:016x}", obs::trace::span_id(&trace_id, name, index));
+    let body = client.get(&format!("/trace/{job}")).expect("trace").body;
+    let spans = parse_spans(&body);
+    assert_eq!(spans.len(), expected.len(), "spans: {spans:?}");
+    for &(name, index, parent, attrs) in expected {
+        let id = hex(name, index);
+        let span = spans
+            .iter()
+            .find(|span| span.id == id)
+            .unwrap_or_else(|| panic!("no `{name}` #{index} span in {spans:?}"));
+        assert_eq!(span.name, name);
+        assert_eq!(span.parent, parent.map(|parent| hex(parent, 0)), "{span:?}");
+        let keys: Vec<&str> = span.attrs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, attrs, "{span:?}");
+    }
+    spans
+}
+
+/// The value of attribute `key` on `span`.
+fn attr<'a>(span: &'a SpanRow, key: &str) -> Option<&'a str> {
+    span.attrs
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Pins the span tree of every submission endpoint on a single node:
+/// `/simulate` records `job → parse, classify, schedule-wait, shard × chunks,
+/// merge` with the engine's work counters on each shard; `/exact`, `/check`
+/// and `/synthesize` record `job → schedule-wait`.
+#[test]
+fn local_jobs_record_pinned_span_trees() {
+    let handle = serve(test_config()).expect("bind");
+    let client = Client::new(handle.addr()).expect("client");
+
+    // Local chunk plan: about four chunks per scheduler worker.
+    let trials = 50u64;
+    let chunk = trials.div_ceil((test_config().workers as u64 * 4).clamp(1, trials));
+    let chunks = trials.div_ceil(chunk);
+    let job = run_job(&client, "/simulate", &coin_request(4242, trials, false));
+    let mut expected: Vec<(&str, u64, Option<&str>, &[&str])> = vec![
+        ("job", 0, None, &["label", "outcome"]),
+        ("parse", 0, Some("job"), &[]),
+        ("classify", 0, Some("job"), &["method", "resolved"]),
+        ("schedule-wait", 0, Some("job"), &[]),
+        ("merge", 0, Some("job"), &["partials"]),
+    ];
+    for index in 0..chunks {
+        expected.push((
+            "shard",
+            index,
+            Some("job"),
+            &["range", "steps", "propensity_evals"],
+        ));
+    }
+    for span in assert_span_tree(&client, job, &expected) {
+        match span.name.as_str() {
+            "job" => {
+                assert_eq!(attr(&span, "label"), Some("simulate"));
+                assert_eq!(attr(&span, "outcome"), Some("ok"));
+            }
+            "merge" => assert_eq!(attr(&span, "partials"), Some(&*chunks.to_string())),
+            "shard" => {
+                for counter in ["steps", "propensity_evals"] {
+                    let value: u64 = attr(&span, counter).unwrap().parse().expect("count");
+                    assert!(value > 0, "{span:?}");
+                }
+            }
+            _ => {}
+        }
+    }
+
+    let exact = "{\"network\":\"x -> heads @ 3\\nx -> tails @ 1\",\
+        \"initial\":{\"x\":1},\
+        \"bounds\":{\"policy\":\"strict\",\"default_cap\":1},\
+        \"analysis\":{\"type\":\"first_passage\",\"outcomes\":[\
+        {\"name\":\"heads\",\"species\":\"heads\",\"at_least\":1},\
+        {\"name\":\"tails\",\"species\":\"tails\",\"at_least\":1}]},\
+        \"wait\":false}";
+    let check = "{\"network\":\"x -> h @ 3\\nx -> t @ 1\",\"initial\":{\"x\":1},\
+        \"bounds\":{\"policy\":\"strict\",\"default_cap\":1},\
+        \"property\":{\"type\":\"reach_before\",\
+        \"target\":{\"species\":\"h\",\"at_least\":1},\
+        \"competitor\":{\"species\":\"t\",\"at_least\":1}},\"wait\":false}";
+    let synthesize = "{\"input\":\"moi\",\
+        \"response\":{\"constant\":2,\"log2\":1,\"linear\":1},\
+        \"outcomes\":[\"lysis\",\"lysogeny\"],\"outputs\":[\"cro2\",\"ci2\"],\
+        \"thresholds\":[1,1],\"food\":[1,1],\"input_total\":8,\
+        \"input_range\":[1,4],\"evaluate\":[1,2],\"wait\":false}";
+    for (path, body) in [
+        ("/exact", exact),
+        ("/check", check),
+        ("/synthesize", synthesize),
+    ] {
+        let job = run_job(&client, path, body);
+        let spans = assert_span_tree(
+            &client,
+            job,
+            &[
+                ("job", 0, None, &["label", "outcome"]),
+                ("schedule-wait", 0, Some("job"), &[]),
+            ],
+        );
+        let root = spans.iter().find(|span| span.name == "job").unwrap();
+        assert_eq!(attr(root, "label"), Some(&path[1..]));
+        assert_eq!(attr(root, "outcome"), Some("ok"));
     }
 
     shutdown_all([handle]);
