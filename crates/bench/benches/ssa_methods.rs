@@ -1,13 +1,12 @@
-//! Ablation benchmark: Gillespie direct vs first-reaction vs Gibson–Bruck
-//! next-reaction vs composition–rejection vs tau-leaping, on networks of
-//! increasing size and varying shape (all built by `crn::generators`).
+//! Ablation benchmark: Gillespie direct vs Gibson–Bruck next-reaction vs
+//! composition–rejection vs tau-leaping vs the hybrid multiscale stepper,
+//! on networks of increasing size and varying shape (all built by
+//! `crn::generators`).
 //!
 //! The scaling story this sweep documents:
 //!
 //! * the direct method's per-event `O(R)` CDF scan degrades linearly with
 //!   the reaction count (`chain_10` → `chain_1000`),
-//! * the first-reaction method degrades even faster (`O(R)` exponential
-//!   draws per event),
 //! * next-reaction (`O(log R)`) and composition–rejection (`O(1)`
 //!   expected) stay near-flat — composition–rejection is the one whose
 //!   selection cost is independent of both the reaction count *and* the

@@ -31,8 +31,7 @@ use crate::engine::{run_chunked_cancellable, CancelToken};
 use crate::error::SimulationError;
 use crate::outcome::{Outcome, OutcomeClassifier};
 use crate::profile::SimProfile;
-use crate::simulator::{run_trial_profiled, SimulationOptions, StepperKind};
-use crate::stats::Moments;
+use crate::simulator::{run_trial_profiled, SimulationOptions, SimulationResult, StepperKind};
 
 /// Options controlling an ensemble run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -193,6 +192,118 @@ impl EnsembleReport {
     }
 }
 
+/// The exact accumulators of a set of finished ensemble trials.
+///
+/// This is the one place a trial is folded in, a set is merged and the
+/// statistics are read out: every [`EnsemblePartial`] carries one, the
+/// merged [`EnsembleReport`] is read out of one, and the service's fabric
+/// streams a running one over the shards of in-flight jobs. Floating-point
+/// sums accumulate in [`numerics::ExactSum`] superaccumulators whose
+/// readout is a pure function of the *multiset* of accumulated values, so
+/// the readout is bit-identical for any split of the trials and any merge
+/// order. Memory is `O(outcomes)` however many trials are folded in.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct EnsembleTally {
+    /// Trials folded in.
+    trials: u64,
+    counts: BTreeMap<Outcome, u64>,
+    undecided: u64,
+    total_events: u64,
+    /// Exact Σ events² (u128: 2⁶⁴ trials of 2³² events each stay in
+    /// range), feeding the report's event variance.
+    events_squared: u128,
+    /// Exact Σ final_time.
+    time_sum: ExactSum,
+    /// Exact Σ fl(final_time²), feeding the report's time variance.
+    time_squared_sum: ExactSum,
+}
+
+impl EnsembleTally {
+    /// Folds one finished trial and its classification in.
+    fn push(&mut self, result: &SimulationResult, outcome: Option<Outcome>) {
+        self.trials += 1;
+        self.total_events += result.events;
+        self.events_squared += u128::from(result.events) * u128::from(result.events);
+        self.time_sum.add(result.final_time);
+        // Clamp the square at f64::MAX: the superaccumulator rejects
+        // infinities, and the clamp is the same pure function of the trial
+        // everywhere, so determinism is unaffected.
+        self.time_squared_sum
+            .add((result.final_time * result.final_time).min(f64::MAX));
+        match outcome {
+            Some(outcome) => *self.counts.entry(outcome).or_insert(0) += 1,
+            None => self.undecided += 1,
+        }
+    }
+
+    /// Adds another tally's trials, exactly: the readout afterwards equals
+    /// that of one tally every trial of both was folded into.
+    pub fn merge(&mut self, other: &EnsembleTally) {
+        self.trials += other.trials;
+        for (outcome, count) in &other.counts {
+            *self.counts.entry(outcome.clone()).or_insert(0) += count;
+        }
+        self.undecided += other.undecided;
+        self.total_events += other.total_events;
+        self.events_squared += other.events_squared;
+        self.time_sum.merge(&other.time_sum);
+        self.time_squared_sum.merge(&other.time_squared_sum);
+    }
+
+    /// Number of trials folded in.
+    pub fn trials(&self) -> u64 {
+        self.trials
+    }
+
+    /// The mean and unbiased sample variance of the final times (both 0
+    /// for an empty tally) — exactly the report's `mean_final_time` and
+    /// `final_time_variance` for the same trials.
+    pub fn final_time_stats(&mut self) -> (f64, f64) {
+        if self.trials == 0 {
+            return (0.0, 0.0);
+        }
+        let total = self.time_sum.value();
+        let mean = total / self.trials as f64;
+        let variance = sample_variance(self.trials, self.time_squared_sum.value(), total, mean);
+        (mean, variance)
+    }
+
+    /// Reads the tally out as the report of a whole ensemble; `outcomes`
+    /// are listed with a zero count when no trial reached them.
+    fn into_report(
+        mut self,
+        master_seed: u64,
+        method: StepperKind,
+        outcomes: impl IntoIterator<Item = Outcome>,
+    ) -> EnsembleReport {
+        for outcome in outcomes {
+            self.counts.entry(outcome).or_insert(0);
+        }
+        let (mean_final_time, final_time_variance) = self.final_time_stats();
+        let mean_events = self.total_events as f64 / self.trials as f64;
+        EnsembleReport {
+            trials: self.trials,
+            master_seed,
+            method,
+            counts: self
+                .counts
+                .into_iter()
+                .map(|(outcome, count)| OutcomeCount { outcome, count })
+                .collect(),
+            undecided: self.undecided,
+            mean_events,
+            events_variance: sample_variance(
+                self.trials,
+                self.events_squared as f64,
+                self.total_events as f64,
+                mean_events,
+            ),
+            mean_final_time,
+            final_time_variance,
+        }
+    }
+}
+
 /// The accumulated results of one contiguous block of ensemble trials.
 ///
 /// Produced by [`Ensemble::run_range`] and merged back into an
@@ -200,41 +311,25 @@ impl EnsembleReport {
 /// ranges, running them on arbitrary threads (in any order, on any
 /// machine) and merging the partials reproduces the single-threaded report
 /// **bit for bit**, because trial `i` always seeds its RNG with
-/// `master_seed + i` and the floating-point statistics accumulate in
-/// [`numerics::ExactSum`] superaccumulators whose readout is independent
-/// of summation order — and therefore of the partitioning. This is the
-/// fan-out surface the `service` crate's work-stealing job scheduler and
-/// its distributed fabric are built on.
+/// `master_seed + i` and the statistics accumulate in an exact
+/// [`EnsembleTally`] whose readout is independent of summation order — and
+/// therefore of the partitioning. This is the fan-out surface the `service`
+/// crate's work-stealing job scheduler and its distributed fabric are built
+/// on.
 ///
 /// A partial is `O(outcomes)` memory regardless of how many trials it
-/// covers: per-trial data is folded into exact sums and a streaming
-/// [`Moments`] accumulator as each trial finishes, never stored. That is
-/// what bounds coordinator and worker memory on million-trial jobs.
+/// covers: per-trial data is folded into the tally as each trial finishes,
+/// never stored. That is what bounds coordinator and worker memory on
+/// million-trial jobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsemblePartial {
     /// First trial index of the assigned range (inclusive).
     start: u64,
     /// One past the last trial index of the assigned range.
     end: u64,
-    /// Number of trials actually completed (equals `end - start` unless the
-    /// run was cancelled part-way).
-    done: u64,
-    counts: BTreeMap<Outcome, u64>,
-    undecided: u64,
-    total_events: u64,
-    /// Exact Σ events² over the range (u128: 2⁶⁴ trials of 2³² events each
-    /// stay in range), feeding the report's event variance.
-    events_squared: u128,
-    /// Exact Σ final_time. The superaccumulator readout is a pure function
-    /// of the multiset of accumulated values, which is what keeps
-    /// `mean_final_time` bit-identical across partitionings.
-    time_sum: ExactSum,
-    /// Exact Σ fl(final_time²), feeding the report's time variance.
-    time_squared_sum: ExactSum,
-    /// Streaming Welford moments of the final times — the shard-level
-    /// monitoring surface (not byte-pinned; the report's statistics come
-    /// from the exact sums above).
-    time_moments: Moments,
+    /// The completed trials (all of `end - start` unless the run was
+    /// cancelled part-way).
+    tally: EnsembleTally,
 }
 
 /// The flattened wire form of an [`EnsemblePartial`], for transports that
@@ -262,8 +357,6 @@ pub struct EnsemblePartialParts {
     pub time_sum: String,
     /// Canonical hex encoding of the exact Σ fl(final_time²).
     pub time_squared_sum: String,
-    /// The streaming moments triple `(count, mean, m2)`.
-    pub time_moments: (u64, f64, f64),
 }
 
 impl EnsemblePartial {
@@ -274,39 +367,39 @@ impl EnsemblePartial {
 
     /// Returns the number of trials actually completed.
     pub fn completed(&self) -> u64 {
-        self.done
+        self.tally.trials
     }
 
     /// Returns `true` when every trial of the assigned range was run (a
     /// cancelled range stops early and stays incomplete).
     pub fn is_complete(&self) -> bool {
-        self.done == self.end - self.start
+        self.tally.trials == self.end - self.start
     }
 
-    /// The streaming mean/variance moments of the final times seen so far
-    /// — what distributed coordinators aggregate to expose running
-    /// statistics of an in-flight job.
-    pub fn time_moments(&self) -> &Moments {
-        &self.time_moments
+    /// The exact accumulators of the completed trials — what distributed
+    /// coordinators merge to expose running statistics of an in-flight
+    /// job.
+    pub fn tally(&self) -> &EnsembleTally {
+        &self.tally
     }
 
     /// Flattens the partial into its wire form.
     pub fn to_parts(&self) -> EnsemblePartialParts {
+        let tally = &self.tally;
         EnsemblePartialParts {
             start: self.start,
             end: self.end,
-            done: self.done,
-            counts: self
+            done: tally.trials,
+            counts: tally
                 .counts
                 .iter()
                 .map(|(outcome, &count)| (outcome.as_str().to_string(), count))
                 .collect(),
-            undecided: self.undecided,
-            total_events: self.total_events,
-            events_squared: self.events_squared.to_string(),
-            time_sum: self.time_sum.encode(),
-            time_squared_sum: self.time_squared_sum.encode(),
-            time_moments: self.time_moments.parts(),
+            undecided: tally.undecided,
+            total_events: tally.total_events,
+            events_squared: tally.events_squared.to_string(),
+            time_sum: tally.time_sum.encode(),
+            time_squared_sum: tally.time_squared_sum.encode(),
         }
     }
 
@@ -332,22 +425,22 @@ impl EnsemblePartial {
             ExactSum::decode(&parts.time_sum).map_err(|e| invalid(format!("bad time_sum: {e}")))?;
         let time_squared_sum = ExactSum::decode(&parts.time_squared_sum)
             .map_err(|e| invalid(format!("bad time_squared_sum: {e}")))?;
-        let (count, mean, m2) = parts.time_moments;
         Ok(EnsemblePartial {
             start: parts.start,
             end: parts.end,
-            done: parts.done,
-            counts: parts
-                .counts
-                .into_iter()
-                .map(|(label, count)| (Outcome::new(label), count))
-                .collect(),
-            undecided: parts.undecided,
-            total_events: parts.total_events,
-            events_squared,
-            time_sum,
-            time_squared_sum,
-            time_moments: Moments::from_parts(count, mean, m2),
+            tally: EnsembleTally {
+                trials: parts.done,
+                counts: parts
+                    .counts
+                    .into_iter()
+                    .map(|(label, count)| (Outcome::new(label), count))
+                    .collect(),
+                undecided: parts.undecided,
+                total_events: parts.total_events,
+                events_squared,
+                time_sum,
+                time_squared_sum,
+            },
         })
     }
 }
@@ -522,6 +615,7 @@ where
     ) -> Result<EnsembleReport, SimulationError> {
         partials.sort_by_key(|p| p.start);
         let mut expected = 0u64;
+        let mut tally = EnsembleTally::default();
         for partial in &partials {
             if partial.start != expected {
                 return Err(SimulationError::InvalidEnsembleConfig {
@@ -538,12 +632,13 @@ where
                         "partial [{}, {}) is incomplete ({} of {} trials run)",
                         partial.start,
                         partial.end,
-                        partial.done,
+                        partial.tally.trials,
                         partial.end - partial.start
                     ),
                 });
             }
             expected = partial.end;
+            tally.merge(&partial.tally);
         }
         if expected != self.options.trials {
             return Err(SimulationError::InvalidEnsembleConfig {
@@ -554,56 +649,7 @@ where
             });
         }
 
-        let trials = self.options.trials;
-        let mut counts: BTreeMap<Outcome, u64> = BTreeMap::new();
-        let mut undecided = 0u64;
-        let mut total_events = 0u64;
-        let mut events_squared = 0u128;
-        let mut time_sum = ExactSum::new();
-        let mut time_squared_sum = ExactSum::new();
-        for partial in partials {
-            for (outcome, count) in partial.counts {
-                *counts.entry(outcome).or_insert(0) += count;
-            }
-            undecided += partial.undecided;
-            total_events += partial.total_events;
-            events_squared += partial.events_squared;
-            // Exact merges: the readouts below see the multiset of all
-            // per-trial values, never per-shard subtotals, so the report
-            // is bit-identical for every partitioning.
-            time_sum.merge(&partial.time_sum);
-            time_squared_sum.merge(&partial.time_squared_sum);
-        }
-        for outcome in self.classifier.outcomes() {
-            counts.entry(outcome).or_insert(0);
-        }
-        let total_time = time_sum.value();
-        let mean_events = total_events as f64 / trials as f64;
-        let mean_final_time = total_time / trials as f64;
-        Ok(EnsembleReport {
-            trials,
-            master_seed: self.options.master_seed,
-            method,
-            counts: counts
-                .into_iter()
-                .map(|(outcome, count)| OutcomeCount { outcome, count })
-                .collect(),
-            undecided,
-            mean_events,
-            events_variance: sample_variance(
-                trials,
-                events_squared as f64,
-                total_events as f64,
-                mean_events,
-            ),
-            mean_final_time,
-            final_time_variance: sample_variance(
-                trials,
-                time_squared_sum.value(),
-                total_time,
-                mean_final_time,
-            ),
-        })
+        Ok(tally.into_report(self.options.master_seed, method, self.classifier.outcomes()))
     }
 
     fn validate(&self) -> Result<(), SimulationError> {
@@ -646,14 +692,7 @@ where
         let mut partial = EnsemblePartial {
             start,
             end,
-            done: 0,
-            counts: BTreeMap::new(),
-            undecided: 0,
-            total_events: 0,
-            events_squared: 0,
-            time_sum: ExactSum::new(),
-            time_squared_sum: ExactSum::new(),
-            time_moments: Moments::new(),
+            tally: EnsembleTally::default(),
         };
         for trial in start..end {
             if cancel.is_cancelled() {
@@ -671,21 +710,9 @@ where
                 &mut rng,
                 profile,
             )?;
-            partial.total_events += result.events;
-            partial.events_squared += u128::from(result.events) * u128::from(result.events);
-            partial.time_sum.add(result.final_time);
-            // Clamp the square at f64::MAX: the superaccumulator rejects
-            // infinities, and the clamp is the same pure function of the
-            // trial everywhere, so determinism is unaffected.
             partial
-                .time_squared_sum
-                .add((result.final_time * result.final_time).min(f64::MAX));
-            partial.time_moments.push(result.final_time);
-            match self.classifier.classify(&result) {
-                Some(outcome) => *partial.counts.entry(outcome).or_insert(0) += 1,
-                None => partial.undecided += 1,
-            }
-            partial.done += 1;
+                .tally
+                .push(&result, self.classifier.classify(&result));
             scratch = result.final_state;
         }
         Ok(partial)
@@ -921,8 +948,8 @@ mod tests {
             .run_range(0, 20_000, &token)
             .unwrap();
         assert_eq!(large.to_parts().counts.len(), small.to_parts().counts.len());
-        assert_eq!(large.time_moments().count(), 20_000);
-        assert!(large.time_moments().variance() > 0.0);
+        assert_eq!(large.tally().trials(), 20_000);
+        assert!(large.tally().clone().final_time_stats().1 > 0.0);
     }
 
     #[test]

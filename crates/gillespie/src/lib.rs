@@ -4,7 +4,6 @@
 //! (SSA) over the [`crn`] data model:
 //!
 //! * [`DirectMethod`] — Gillespie's direct method (Gillespie 1977),
-//! * [`FirstReactionMethod`] — Gillespie's first-reaction method,
 //! * [`NextReactionMethod`] — the Gibson–Bruck next-reaction method
 //!   (Gibson & Bruck 2000) with a dependency graph and an indexed priority
 //!   queue,
@@ -13,7 +12,7 @@
 //!   rejection sampling inside a group, `O(1)` expected channel selection
 //!   independent of the reaction count.
 //!
-//! All four produce statistically identical trajectories; they differ only
+//! All three produce statistically identical trajectories; they differ only
 //! in performance characteristics, which the `bench` crate's `ssa_methods`
 //! benchmark quantifies.
 //!
@@ -62,7 +61,6 @@ pub mod engine;
 mod ensemble;
 mod error;
 mod export;
-mod first_reaction;
 mod hybrid;
 mod next_reaction;
 mod outcome;
@@ -79,10 +77,10 @@ pub use composition_rejection::CompositionRejection;
 pub use direct::DirectMethod;
 pub use engine::ReactionDependencyGraph;
 pub use ensemble::{
-    Ensemble, EnsembleOptions, EnsemblePartial, EnsemblePartialParts, EnsembleReport, OutcomeCount,
+    Ensemble, EnsembleOptions, EnsemblePartial, EnsemblePartialParts, EnsembleReport,
+    EnsembleTally, OutcomeCount,
 };
 pub use error::SimulationError;
-pub use first_reaction::FirstReactionMethod;
 pub use hybrid::{Hybrid, HybridDiagnostics};
 pub use next_reaction::NextReactionMethod;
 pub use outcome::{Outcome, OutcomeClassifier, SpeciesThresholdClassifier, ThresholdRule};
@@ -92,7 +90,7 @@ pub use simulator::{
     Simulation, SimulationOptions, SimulationResult, SsaMethod, SsaStepper, StepOutcome,
     StepperKind,
 };
-pub use stats::{Moments, SpeciesStatistics, TrajectorySummary};
+pub use stats::{SpeciesStatistics, TrajectorySummary};
 pub use stop::StopCondition;
 pub use tau_leap::TauLeaping;
 pub use trajectory::{RecordingMode, Trajectory, TrajectoryPoint};

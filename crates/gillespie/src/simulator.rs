@@ -36,8 +36,8 @@ pub enum StepOutcome {
 /// once per trajectory before the first [`SsaStepper::step`].
 ///
 /// The exact implementations are [`DirectMethod`](crate::DirectMethod),
-/// [`FirstReactionMethod`](crate::FirstReactionMethod) and
-/// [`NextReactionMethod`](crate::NextReactionMethod); they are statistically
+/// [`NextReactionMethod`](crate::NextReactionMethod) and
+/// [`CompositionRejection`](crate::CompositionRejection); they are statistically
 /// equivalent. [`TauLeaping`](crate::TauLeaping) is approximate: it trades
 /// exactness for leaps that fire many reactions per step, and reports
 /// [`StepOutcome::Leaped`] instead of [`StepOutcome::Fired`].
@@ -121,8 +121,6 @@ pub enum StepperKind {
     /// Gillespie's direct method.
     #[default]
     Direct,
-    /// Gillespie's first-reaction method.
-    FirstReaction,
     /// Gibson–Bruck next-reaction method.
     NextReaction,
     /// Composition–rejection method: log₂-binned groups with rejection
@@ -155,9 +153,8 @@ impl StepperKind {
     /// All built-in *concrete* methods (exact and approximate), convenient
     /// for sweeps. [`StepperKind::Auto`] is deliberately absent: it always
     /// resolves to one of these.
-    pub const ALL: [StepperKind; 6] = [
+    pub const ALL: [StepperKind; 5] = [
         StepperKind::Direct,
-        StepperKind::FirstReaction,
         StepperKind::NextReaction,
         StepperKind::CompositionRejection,
         StepperKind::TauLeaping,
@@ -166,9 +163,8 @@ impl StepperKind {
 
     /// The exact methods only — use this for assertions that rely on exact
     /// per-event statistics.
-    pub const EXACT: [StepperKind; 4] = [
+    pub const EXACT: [StepperKind; 3] = [
         StepperKind::Direct,
-        StepperKind::FirstReaction,
         StepperKind::NextReaction,
         StepperKind::CompositionRejection,
     ];
@@ -183,7 +179,6 @@ impl StepperKind {
     pub fn stepper(self) -> Box<dyn SsaStepper + Send> {
         match self {
             StepperKind::Direct => Box::new(crate::DirectMethod::new()),
-            StepperKind::FirstReaction => Box::new(crate::FirstReactionMethod::new()),
             StepperKind::NextReaction => Box::new(crate::NextReactionMethod::new()),
             StepperKind::CompositionRejection => Box::new(crate::CompositionRejection::new()),
             StepperKind::TauLeaping => Box::new(crate::TauLeaping::new()),
@@ -215,7 +210,6 @@ impl StepperKind {
     pub fn name(self) -> &'static str {
         match self {
             StepperKind::Direct => "direct",
-            StepperKind::FirstReaction => "first-reaction",
             StepperKind::NextReaction => "next-reaction",
             StepperKind::CompositionRejection => "composition-rejection",
             StepperKind::TauLeaping => "tau-leaping",

@@ -5,100 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::simulator::SimulationResult;
 
-/// An online mean/variance accumulator over a stream of `f64` samples.
-///
-/// Uses Welford's algorithm for [`push`](Self::push) and Chan et al.'s
-/// pairwise formula for [`merge`](Self::merge), so statistics of an
-/// arbitrarily large sample stream are maintained in `O(1)` memory and
-/// shard-level accumulators computed on different machines combine into
-/// whole-stream statistics without ever shipping raw samples. This is the
-/// streaming surface of distributed ensemble jobs: each worker folds its
-/// trials into a `Moments` as they finish, and the coordinator merges
-/// shard moments to expose running statistics of a million-trial job
-/// while it is still in flight.
-///
-/// `merge` is mathematically exact but, like all floating-point
-/// reductions, not bitwise associative — byte-pinned report fields use
-/// exact accumulators instead ([`numerics::ExactSum`]); `Moments` is for
-/// monitoring and summary statistics where `O(1)` state matters more
-/// than last-bit reproducibility.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct Moments {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Moments {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Moments::default()
-    }
-
-    /// Reconstructs an accumulator from its [`parts`](Self::parts) — the
-    /// wire format shard moments travel in.
-    pub fn from_parts(count: u64, mean: f64, m2: f64) -> Self {
-        Moments { count, mean, m2 }
-    }
-
-    /// The raw `(count, mean, m2)` triple, where `m2` is the sum of
-    /// squared deviations from the mean.
-    pub fn parts(&self) -> (u64, f64, f64) {
-        (self.count, self.mean, self.m2)
-    }
-
-    /// Folds one sample into the stream.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Combines another accumulator's stream into this one (Chan et al.'s
-    /// parallel update), as if every sample of both streams had been
-    /// pushed into a single accumulator.
-    pub fn merge(&mut self, other: &Moments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64 / total as f64);
-        self.count = total;
-    }
-
-    /// Number of samples accumulated.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 below two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 /// Running mean/variance accumulator for the final count of one species.
 ///
 /// Uses Welford's online algorithm so that ensembles of any size can be
@@ -265,59 +171,6 @@ mod tests {
         assert_eq!(stats.min(), 0);
         assert_eq!(stats.max(), 12);
         assert_eq!(stats.samples(), 7);
-    }
-
-    #[test]
-    fn moments_match_direct_computation() {
-        let samples = [3.5f64, 7.0, 7.25, 1.0, 12.5, 0.0, 5.75];
-        let mut moments = Moments::new();
-        for &s in &samples {
-            moments.push(s);
-        }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|&s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        assert_eq!(moments.count(), 7);
-        assert!((moments.mean() - mean).abs() < 1e-12);
-        assert!((moments.variance() - var).abs() < 1e-9);
-    }
-
-    #[test]
-    fn moments_merge_matches_single_stream() {
-        let samples: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 * 0.25).collect();
-        let mut whole = Moments::new();
-        for &s in &samples {
-            whole.push(s);
-        }
-        // Uneven shards, merged out of order — as a distributed job would.
-        let mut merged = Moments::new();
-        for shard in [&samples[700..], &samples[..13], &samples[13..700]] {
-            let mut part = Moments::new();
-            for &s in shard {
-                part.push(s);
-            }
-            merged.merge(&part);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-12);
-        assert!((merged.variance() - whole.variance()).abs() < 1e-9);
-        // Merging empties is the identity in both directions.
-        let snapshot = merged.clone();
-        merged.merge(&Moments::new());
-        assert_eq!(merged, snapshot);
-        let mut empty = Moments::new();
-        empty.merge(&snapshot);
-        assert_eq!(empty, snapshot);
-    }
-
-    #[test]
-    fn moments_round_trip_through_parts() {
-        let mut moments = Moments::new();
-        for x in [1.0, 2.5, 9.75] {
-            moments.push(x);
-        }
-        let (count, mean, m2) = moments.parts();
-        assert_eq!(Moments::from_parts(count, mean, m2), moments);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use crn::Crn;
 use gillespie::{
-    propensities, propensity, CompositionRejection, DirectMethod, FirstReactionMethod,
-    NextReactionMethod, RecordingMode, Simulation, SimulationOptions, SsaStepper, StepOutcome,
-    StopCondition, TauLeaping,
+    propensities, propensity, CompositionRejection, DirectMethod, NextReactionMethod,
+    RecordingMode, Simulation, SimulationOptions, SsaStepper, StepOutcome, StopCondition,
+    TauLeaping,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -74,7 +74,6 @@ proptest! {
         };
         for result in [
             run(Box::new(DirectMethod::new())),
-            run(Box::new(FirstReactionMethod::new())),
             run(Box::new(NextReactionMethod::new())),
             run(Box::new(CompositionRejection::new())),
         ] {

@@ -27,6 +27,12 @@ pub const DEFAULT_MAX_EVENTS: u64 = 10_000_000;
 /// Default priority of submitted jobs (mid-scale).
 pub const DEFAULT_PRIORITY: u8 = 4;
 
+/// The `kind` tag of a shard's partial document. Its version suffix
+/// changes whenever the document's fields do, so a worker and a
+/// coordinator of different versions reject each other's partials instead
+/// of misreading them.
+const PARTIAL_KIND: &str = "partial/2";
+
 fn bad(message: impl Into<String>) -> ServiceError {
     ServiceError::bad_request(message)
 }
@@ -358,7 +364,7 @@ impl SimulateRequest {
             .map(|(outcome, count)| (outcome.clone(), Json::count(*count)))
             .collect();
         Json::object([
-            ("kind", Json::str("partial")),
+            ("kind", Json::str(PARTIAL_KIND)),
             ("start", Json::count(parts.start)),
             ("end", Json::count(parts.end)),
             ("done", Json::count(parts.done)),
@@ -368,14 +374,6 @@ impl SimulateRequest {
             ("events_squared", Json::str(parts.events_squared)),
             ("time_sum", Json::str(parts.time_sum)),
             ("time_squared_sum", Json::str(parts.time_squared_sum)),
-            (
-                "time_moments",
-                Json::Array(vec![
-                    Json::count(parts.time_moments.0),
-                    Json::num(parts.time_moments.1),
-                    Json::num(parts.time_moments.2),
-                ]),
-            ),
         ])
         .render()
     }
@@ -389,8 +387,12 @@ impl SimulateRequest {
     /// encoding validation happens in
     /// [`EnsemblePartial::from_parts`].
     pub fn parse_partial(body: &Json) -> Result<EnsemblePartial, ServiceError> {
-        if body.get("kind").and_then(|k| k.as_str("kind").ok()) != Some("partial") {
-            return Err(bad("not a partial document (missing `kind: partial`)"));
+        let kind = body.get("kind").and_then(|k| k.as_str("kind").ok());
+        if kind != Some(PARTIAL_KIND) {
+            return Err(bad(format!(
+                "not a `{PARTIAL_KIND}` document (kind `{}`)",
+                kind.unwrap_or("missing")
+            )));
         }
         let field = |key: &'static str| -> Result<&Json, ServiceError> {
             body.get(key)
@@ -406,12 +408,6 @@ impl SimulateRequest {
         for (outcome, count) in field("counts")?.as_object("counts").map_err(bad)? {
             counts.push((outcome.clone(), count.as_u64("counts").map_err(bad)?));
         }
-        let moments = field("time_moments")?
-            .as_array("time_moments")
-            .map_err(bad)?;
-        if moments.len() != 3 {
-            return Err(bad("`time_moments` must be a [count, mean, m2] triple"));
-        }
         let parts = EnsemblePartialParts {
             start: num("start")?,
             end: num("end")?,
@@ -422,11 +418,6 @@ impl SimulateRequest {
             events_squared: text("events_squared")?,
             time_sum: text("time_sum")?,
             time_squared_sum: text("time_squared_sum")?,
-            time_moments: (
-                moments[0].as_u64("time_moments[0]").map_err(bad)?,
-                moments[1].as_f64("time_moments[1]").map_err(bad)?,
-                moments[2].as_f64("time_moments[2]").map_err(bad)?,
-            ),
         };
         EnsemblePartial::from_parts(parts).map_err(|e| bad(e.to_string()))
     }
@@ -1761,6 +1752,16 @@ mod tests {
     }
 
     #[test]
+    fn seeds_above_two_to_the_53_have_their_own_cache_keys() {
+        let key = |seed: &str| {
+            let body = simulate_body("x -> h @ 1", &format!(",\"seed\":{seed}"));
+            SimulateRequest::parse(&body).unwrap().cache_key()
+        };
+        assert_ne!(key("9007199254740992"), key("9007199254740993"));
+        assert!(key("9007199254740993").contains("9007199254740993"));
+    }
+
+    #[test]
     fn auto_requests_resolve_at_parse_time() {
         let body = simulate_body(
             "x -> h @ 3\nx -> t @ 1",
@@ -1956,5 +1957,33 @@ mod tests {
         // Overrides apply on top of the preset.
         let body = parse("{\"preset\":\"lambda\",\"input_total\":8}").unwrap();
         assert_eq!(SynthesizeRequest::parse(&body).unwrap().input_total, 8);
+    }
+
+    #[test]
+    fn partials_round_trip_and_reject_other_document_kinds() {
+        let body = simulate_body(
+            "x -> h @ 3\nx -> t @ 1",
+            ",\"initial\":{\"x\":1},\"seed\":5,\
+             \"classifier\":[{\"species\":\"h\",\"at_least\":1,\"outcome\":\"heads\"}]",
+        );
+        let request = SimulateRequest::parse(&body).unwrap();
+        let partial = request
+            .ensemble()
+            .unwrap()
+            .run_range(10, 60, &gillespie::engine::CancelToken::new())
+            .unwrap();
+        let wire = SimulateRequest::render_partial(&partial);
+        assert!(wire.starts_with(r#"{"kind":"partial/2","#), "{wire}");
+        let parsed = SimulateRequest::parse_partial(&parse(&wire).unwrap()).unwrap();
+        assert_eq!(parsed, partial);
+
+        // A partial from a build with the old document layout names its
+        // kind in the rejection instead of being misread.
+        let old = wire.replacen(r#""kind":"partial/2""#, r#""kind":"partial""#, 1);
+        let error = SimulateRequest::parse_partial(&parse(&old).unwrap()).unwrap_err();
+        assert!(error.to_string().contains("kind `partial`"), "{error}");
+        let untagged = parse(r#"{"start":0}"#).unwrap();
+        let error = SimulateRequest::parse_partial(&untagged).unwrap_err();
+        assert!(error.to_string().contains("kind `missing`"), "{error}");
     }
 }

@@ -33,7 +33,7 @@ const USAGE: &str = "usage: stochsynth-cli <command> --server HOST:PORT [options
 commands:
   submit    --endpoint simulate|exact|synthesize|check --file REQ.json|- [--wait]
   simulate  --network TEXT | --network-file PATH [--initial a=5,b=3]
-            [--stepper direct|first-reaction|next-reaction|composition-rejection|tau-leaping|hybrid|auto]
+            [--stepper direct|next-reaction|composition-rejection|tau-leaping|hybrid|auto]
             [--trials N] [--seed N]
             synchronous ensemble; with `auto` the resolved stepper goes to stderr
   check     --network TEXT | --network-file PATH [--initial a=5,b=3]

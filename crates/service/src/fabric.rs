@@ -15,8 +15,10 @@
 //! * **Bounded memory** — a shard travels as outcome counts plus `O(1)`
 //!   exact accumulators, never per-trial samples, so a million-trial job
 //!   costs the coordinator one small document per shard regardless of
-//!   trial count. Running statistics stream through a
-//!   [`Moments`](gillespie::Moments) accumulator as shards land.
+//!   trial count. Running statistics stream through an exact
+//!   [`EnsembleTally`](gillespie::EnsembleTally), read out as the report
+//!   is, so once a job's shards have all landed they equal its report's
+//!   figures bit for bit.
 //! * **Fault tolerance** — a failed dispatch (dead worker, timeout, error
 //!   status) retries on the next healthy worker with bounded doubling
 //!   backoff; the worker registry's consecutive-failure counter steers
@@ -39,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gillespie::engine::CancelToken;
-use gillespie::{EnsemblePartial, Moments};
+use gillespie::{EnsemblePartial, EnsembleTally};
 use obs::log::{event, Level, Value};
 use obs::trace::{SpanGuard, TraceContext, TraceSink};
 use obs::MetricsRegistry;
@@ -144,10 +146,10 @@ pub struct Fabric {
     worker_failures: AtomicU64,
     remote_cache_hits: AtomicU64,
     remote_cache_misses: AtomicU64,
-    /// Running final-time statistics over every trial merged so far, fed
-    /// by shard moments as they land — the streaming monitoring surface of
-    /// long jobs (`GET /fabric` exposes it mid-flight).
-    streamed: Mutex<Moments>,
+    /// Exact accumulators over every trial merged so far, fed by shard
+    /// tallies as they land — the streaming monitoring surface of long jobs
+    /// (`GET /fabric` exposes it mid-flight).
+    streamed: Mutex<EnsembleTally>,
     /// When set, per-worker round-trip histograms
     /// (`fabric_shard_rtt_us{worker="…"}`) are recorded here.
     metrics: Option<Arc<MetricsRegistry>>,
@@ -169,7 +171,7 @@ impl Fabric {
             worker_failures: AtomicU64::new(0),
             remote_cache_hits: AtomicU64::new(0),
             remote_cache_misses: AtomicU64::new(0),
-            streamed: Mutex::new(Moments::new()),
+            streamed: Mutex::new(EnsembleTally::default()),
             metrics: None,
         }
     }
@@ -234,8 +236,8 @@ impl Fabric {
         })?;
         self.streamed
             .lock()
-            .expect("streamed moments lock")
-            .merge(partial.time_moments());
+            .expect("streamed tally lock")
+            .merge(partial.tally());
         Ok(partial)
     }
 
@@ -430,7 +432,8 @@ impl Fabric {
     /// `GET /metrics`.
     pub fn render(&self) -> Json {
         let stats = self.stats();
-        let streamed = self.streamed.lock().expect("streamed moments lock");
+        let mut streamed = self.streamed.lock().expect("streamed tally lock");
+        let (mean_final_time, final_time_variance) = streamed.final_time_stats();
         let workers: Vec<Json> = self.registry.snapshot().iter().map(render_worker).collect();
         Json::object([
             ("shards_dispatched", Json::count(stats.shards_dispatched)),
@@ -445,9 +448,9 @@ impl Fabric {
             (
                 "streaming",
                 Json::object([
-                    ("trials", Json::count(streamed.count())),
-                    ("mean_final_time", Json::num(streamed.mean())),
-                    ("final_time_variance", Json::num(streamed.variance())),
+                    ("trials", Json::count(streamed.trials())),
+                    ("mean_final_time", Json::num(mean_final_time)),
+                    ("final_time_variance", Json::num(final_time_variance)),
                 ]),
             ),
             ("workers", Json::Array(workers)),

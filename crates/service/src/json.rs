@@ -10,6 +10,11 @@
 //! writer must be a pure function of the value tree. Object members keep
 //! their insertion order, numbers are rendered with Rust's shortest-round-trip
 //! `f64` formatting, and no whitespace is emitted.
+//!
+//! Seeds, counts and trial ranges are `u64`s and must survive a round trip
+//! exactly, also above 2⁵³ where `f64` cannot hold every integer: a
+//! literal that denotes a non-negative integer within `u64` parses into
+//! [`Json::Integer`], and [`Json::as_u64`] accepts nothing else.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,7 +30,10 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as `f64`, which every payload here fits).
+    /// A number that is a non-negative integer within `u64` (`7`, `1e3`,
+    /// `2.50e1`), held exactly.
+    Integer(u64),
+    /// Any other JSON number.
     Number(f64),
     /// A string.
     String(String),
@@ -47,13 +55,9 @@ impl Json {
         Json::Number(n.into())
     }
 
-    /// Builds a number value from a `u64` count.
-    ///
-    /// Counts above 2⁵³ cannot be represented exactly in a JSON number; the
-    /// payloads here (trial counts, state-space sizes, cache statistics)
-    /// stay far below that.
+    /// Builds an exact integer value from a `u64` count.
     pub fn count(n: u64) -> Json {
-        Json::Number(n as f64)
+        Json::Integer(n)
     }
 
     /// Builds an object from `(key, value)` pairs, keeping their order.
@@ -98,22 +102,25 @@ impl Json {
         }
     }
 
-    /// Returns the number, or an error naming `what`.
+    /// Returns the number (integers converted to the nearest `f64`), or an
+    /// error naming `what`.
     pub fn as_f64(&self, what: &str) -> Result<f64, String> {
         match self {
+            Json::Integer(n) => Ok(*n as f64),
             Json::Number(n) => Ok(*n),
             other => Err(format!("{what}: expected number, got {}", other.kind())),
         }
     }
 
-    /// Returns the number as a non-negative integer, or an error naming
-    /// `what`.
+    /// Returns the exact non-negative integer, or an error naming `what`
+    /// for any other value (a fraction, a negative number or one above
+    /// `u64::MAX` is rejected, never rounded).
     pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-        let n = self.as_f64(what)?;
-        if n.fract() != 0.0 || !(0.0..=u64::MAX as f64).contains(&n) {
-            return Err(format!("{what}: expected a non-negative integer, got {n}"));
+        match self {
+            Json::Integer(n) => Ok(*n),
+            Json::Number(n) => Err(format!("{what}: expected a non-negative integer, got {n}")),
+            other => Err(format!("{what}: expected number, got {}", other.kind())),
         }
-        Ok(n as u64)
     }
 
     /// Returns the boolean, or an error naming `what`.
@@ -129,7 +136,7 @@ impl Json {
         match self {
             Json::Null => "null",
             Json::Bool(_) => "bool",
-            Json::Number(_) => "number",
+            Json::Integer(_) | Json::Number(_) => "number",
             Json::String(_) => "string",
             Json::Array(_) => "array",
             Json::Object(_) => "object",
@@ -151,6 +158,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Integer(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Number(n) if n.is_finite() => {
                 let _ = write!(out, "{n}");
             }
@@ -410,9 +420,40 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        if let Some(n) = exact_integer(text) {
+            return Ok(Json::Integer(n));
+        }
         text.parse::<f64>()
             .map(Json::Number)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    }
+}
+
+/// The value of a number literal that denotes a non-negative integer no
+/// larger than `u64::MAX`, read exactly from its digits: `7`, `1e3` and
+/// `2.50e1` qualify, `2.5`, `-1` and `18446744073709551616` do not.
+fn exact_integer(text: &str) -> Option<u64> {
+    let (mantissa, exponent) = match text.split_once(['e', 'E']) {
+        Some((mantissa, exponent)) => (mantissa, exponent.parse::<i64>().ok()?),
+        None => (text, 0),
+    };
+    let (whole, fraction) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let mut digits = format!("{whole}{fraction}");
+    if whole.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    // The literal's value is `digits · 10^scale`.
+    let mut scale = exponent.checked_sub(fraction.len() as i64)?;
+    while scale < 0 && digits.len() > 1 && digits.ends_with('0') {
+        digits.pop();
+        scale += 1;
+    }
+    let value = digits.parse::<u64>().ok()?;
+    match scale {
+        _ if value == 0 => Some(0),
+        0 => Some(value),
+        1..=19 => value.checked_mul(10u64.pow(scale as u32)),
+        _ => None,
     }
 }
 
@@ -524,5 +565,53 @@ mod tests {
         let value = Json::str("a\"b\\c\nd\u{1}");
         assert_eq!(value.render(), r#""a\"b\\c\nd\u0001""#);
         assert_eq!(parse(&value.render()).unwrap(), value);
+    }
+
+    #[test]
+    fn integers_are_exact_across_the_u64_range() {
+        let seed = |text: &str| parse(text).unwrap().as_u64("seed");
+        // 2⁵³ + 1 is the first integer an f64 cannot hold.
+        assert_eq!(seed("9007199254740992"), Ok(1 << 53));
+        assert_eq!(seed("9007199254740993"), Ok((1 << 53) + 1));
+        assert_eq!(seed("18446744073709551615"), Ok(u64::MAX));
+        // Integers written with a fraction or an exponent are still exact.
+        assert_eq!(seed("1e3"), Ok(1000));
+        assert_eq!(seed("2.50e1"), Ok(25));
+        assert_eq!(seed("100.0"), Ok(100));
+        assert_eq!(seed("0e-7"), Ok(0));
+        // Anything that is not a u64 is rejected, never rounded.
+        for bad in [
+            "18446744073709551616",
+            "1e20",
+            "2.5",
+            "9007199254740993.5",
+            "1.0000000000000001",
+            "-1",
+            "\"7\"",
+        ] {
+            assert!(seed(bad).is_err(), "{bad} should be rejected");
+        }
+        // Integers still read as numbers.
+        assert_eq!(parse("7").unwrap().as_f64("n"), Ok(7.0));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_u64_round_trips_through_render_and_parse(
+            raw in 0u64..u64::MAX,
+            shift in 0u32..64,
+        ) {
+            // Shifting spreads the cases over every magnitude; the top of
+            // the range is pinned separately.
+            for n in [raw >> shift, u64::MAX - (raw >> shift)] {
+                let rendered = Json::count(n).render();
+                proptest::prop_assert_eq!(&rendered, &n.to_string());
+                proptest::prop_assert_eq!(parse(&rendered).unwrap().as_u64("n"), Ok(n));
+                if n < 1 << 53 {
+                    // Below 2⁵³ the bytes are those of the f64 rendering.
+                    proptest::prop_assert_eq!(&rendered, &Json::num(n as f64).render());
+                }
+            }
+        }
     }
 }

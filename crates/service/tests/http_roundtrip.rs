@@ -80,6 +80,39 @@ fn repeated_request_is_a_byte_identical_cache_hit() {
 
 /// Served ensemble reports must not diverge from a single-threaded library
 /// run — the scheduler's chunked fan-out is bit-faithful.
+/// Seeds are exact above 2⁵³: seeds 2⁵³ and 2⁵³ + 1 are distinct jobs,
+/// each with its own cache entry and report, and a seed above `u64::MAX`
+/// is a 400 rather than a rounded value.
+#[test]
+fn seeds_beyond_f64_precision_stay_distinct() {
+    let handle = serve(test_config()).expect("bind");
+    let client = Client::new(handle.addr()).expect("client");
+
+    let mut bodies = Vec::new();
+    for seed in [1u64 << 53, (1 << 53) + 1] {
+        let reply = client
+            .post("/simulate", &coin_request(seed, 200, true))
+            .expect("round trip");
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+        assert_eq!(reply.header("cache"), Some("miss"), "seed {seed}");
+        assert!(
+            reply.body.contains(&format!("\"seed\":{seed},")),
+            "{}",
+            reply.body
+        );
+        bodies.push(reply.body);
+    }
+    assert_ne!(bodies[0], bodies[1]);
+
+    let over = coin_request(7, 200, true).replace("\"seed\":7", "\"seed\":18446744073709551616");
+    let reply = client.post("/simulate", &over).expect("round trip");
+    assert_eq!(reply.status, 400, "body: {}", reply.body);
+    assert!(reply.body.contains("seed"), "{}", reply.body);
+
+    handle.shutdown(Duration::from_secs(2));
+    handle.join();
+}
+
 #[test]
 fn served_reports_match_a_single_threaded_run() {
     let handle = serve(test_config()).expect("bind");

@@ -383,7 +383,6 @@ fn metrics_expositions_cover_endpoints_uptime_and_cache() {
         keys("auto_resolutions"),
         [
             "direct",
-            "first_reaction",
             "next_reaction",
             "composition_rejection",
             "tau_leaping",

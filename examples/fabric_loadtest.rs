@@ -3,7 +3,7 @@
 //! Boots N worker daemons plus a sharding coordinator, proves the fabric
 //! byte-identical to a single-process run on a pilot job, then streams a
 //! large ensemble through the cluster while polling `GET /fabric` for the
-//! live Welford statistics — demonstrating that a million-trial job costs
+//! live exact statistics — demonstrating that a million-trial job costs
 //! the coordinator one `O(1)` partial per shard, never per-trial storage.
 //!
 //! Run with:

@@ -177,16 +177,22 @@ echo "check: swept P(h before t) over k, replay byte-identical"
 
 # --- telemetry: JSON logs, text metrics exposition, trace spans ----------
 # A daemon with the full telemetry surface on: structured JSON logs at
-# debug, a 1 ms slow-request threshold (every ensemble job trips it), and
-# the Prometheus-style text exposition.
+# debug, a 1 ms slow-request threshold, and the Prometheus-style text
+# exposition.
 boot_daemon telemetry --log-json --log-level debug --slow-request-ms 1
 TELEM="$BOOTED_ADDR"
 "$CLI" submit --server "$TELEM" --endpoint simulate --file "$WORK/simulate.json" --wait \
     >"$WORK/telemetry_run.body"
 cmp "$WORK/fresh.body" "$WORK/telemetry_run.body" || { echo "telemetry daemon changed result bytes"; exit 1; }
+# The 2000-trial race can finish in under 1 ms on a fast machine; the same
+# race with 100x the trials is slow by construction and must trip the
+# threshold.
+sed 's/"trials": 2000/"trials": 200000/' "$WORK/simulate.json" >"$WORK/slow.json"
+"$CLI" submit --server "$TELEM" --endpoint simulate --file "$WORK/slow.json" --wait \
+    >"$WORK/slow.body"
 
 "$CLI" metrics --server "$TELEM" --format text >"$WORK/telemetry_metrics.body"
-grep -q '^http_requests_total{endpoint="simulate"} 1$' "$WORK/telemetry_metrics.body" \
+grep -q '^http_requests_total{endpoint="simulate"} 2$' "$WORK/telemetry_metrics.body" \
     || { echo "text exposition missing request counter:"; cat "$WORK/telemetry_metrics.body"; exit 1; }
 grep -q '^service_uptime_ms ' "$WORK/telemetry_metrics.body" \
     || { echo "text exposition missing uptime:"; cat "$WORK/telemetry_metrics.body"; exit 1; }
@@ -199,7 +205,8 @@ for span in job parse classify schedule-wait shard merge; do
 done
 
 # Every log line (past the boot banner on stdout) is a JSON record with
-# the standard envelope, and the 1 ms threshold fired a slow_request.
+# the standard envelope, and the 1 ms threshold fired a slow_request for
+# the 200000-trial request.
 if grep -v '^stochsynthd' "$WORK/telemetry.log" | grep -qv '^{"ts_us":'; then
     echo "non-JSON telemetry log line:"; cat "$WORK/telemetry.log"; exit 1
 fi
@@ -250,18 +257,21 @@ cmp "$WORK/fresh8.body" "$WORK/sharded8.body" || { echo "post-kill sharded body 
 grep -q '"worker_failures":0' "$WORK/fabric.body" && { echo "expected worker failures:"; cat "$WORK/fabric.body"; exit 1; }
 echo "fabric: killed worker rebalanced, bytes unchanged, failures recorded"
 
-# Cache federation: a fresh coordinator over the two survivors (one booted
-# with a flag, one registered at runtime) re-shards the first job and is
-# answered partly from the workers' shard caches.
+# Cache federation: a fresh coordinator over a survivor re-shards the first
+# job and is answered partly from the worker's shard cache. Round-robin
+# gave W2 every third dispatch of the first job (which shards is up to
+# scheduling), so a coordinator over W2 alone is sure to hit; with W3 also
+# in its pool a run could route every cached shard to the other worker.
 boot_daemon coordinator2 --fabric-worker "$W2" --shard-trials 250 --shard-backoff-ms 10
 COORD2="$BOOTED_ADDR"
-"$CLI" fabric --server "$COORD2" --register "$W3" >/dev/null
 "$CLI" submit --server "$COORD2" --endpoint simulate --file "$WORK/simulate.json" --wait \
     >"$WORK/federated.body"
 cmp "$WORK/fresh.body" "$WORK/federated.body" || { echo "federated replay differs"; exit 1; }
 "$CLI" fabric --server "$COORD2" >"$WORK/fabric2.body"
 grep -q '"remote_cache_hits":0' "$WORK/fabric2.body" && { echo "expected worker-tier cache hits:"; cat "$WORK/fabric2.body"; exit 1; }
 echo "fabric: federated worker caches answered the re-sharded replay"
+# The other survivor joins at runtime and serves the sweep below.
+"$CLI" fabric --server "$COORD2" --register "$W3" >/dev/null
 
 # A fabric-dispatched check sweep (one grid point per worker dispatch) must
 # reproduce the single-node sweep document byte for byte.

@@ -7,8 +7,8 @@
 //!
 //! * [`crn`] — the chemical reaction network data model (species, reactions,
 //!   states, parsing, structural analysis);
-//! * [`gillespie`] — stochastic simulation: the exact direct, first-reaction
-//!   and next-reaction methods, approximate tau-leaping
+//! * [`gillespie`] — stochastic simulation: the exact direct, next-reaction
+//!   and composition–rejection methods, approximate tau-leaping
 //!   ([`TauLeaping`](gillespie::TauLeaping)), the hybrid multiscale stepper
 //!   ([`Hybrid`](gillespie::Hybrid)) and the parallel Monte-Carlo
 //!   [`Ensemble`](gillespie::Ensemble) engine;
@@ -61,9 +61,8 @@ pub use cme::{CmeError, FirstPassage, OutcomeDistribution, PopulationBounds, Sta
 pub use crn::{Crn, CrnBuilder, CrnError, Reaction, Species, SpeciesId, State};
 pub use gillespie::{
     CompositionRejection, DirectMethod, Ensemble, EnsembleOptions, EnsemblePartial, EnsembleReport,
-    FirstReactionMethod, Hybrid, NextReactionMethod, Simulation, SimulationError,
-    SimulationOptions, SimulationResult, SsaMethod, SsaStepper, StepperKind, StopCondition,
-    TauLeaping,
+    Hybrid, NextReactionMethod, Simulation, SimulationError, SimulationOptions, SimulationResult,
+    SsaMethod, SsaStepper, StepperKind, StopCondition, TauLeaping,
 };
 pub use service::{Client, Router, Scheduler, Server, ServiceConfig, ServiceHandle};
 pub use synthesis::{StochasticModule, TargetDistribution};
